@@ -2,10 +2,11 @@
 
 Each step replaces every vertex's color with an index of its neighbourhood
 portrait (the count of neighbours per current color) and stops once two
-consecutive colorings are isomorphic; the result is the coarsest stable,
-equitable refinement reachable from the start. The package bundles the
-engine, comparison predicates, an independent brute-force oracle, text
-formats, and a CLI.
+consecutive colorings are isomorphic. From the all-equal start the result
+is the coarsest equitable partition; from other starts classes can merge,
+and the partition can cycle forever, so the run then ends at an iteration
+cap. The package bundles the engine, comparison predicates, an
+independent brute-force oracle, text formats, and a CLI.
 """
 
 from .coloring import (
@@ -23,7 +24,6 @@ from .formats import (
     emit_coloring,
     emit_dot,
     emit_edge_list,
-    emit_trace,
     emit_trace_document,
     parse_coloring,
     parse_dimacs,
@@ -32,11 +32,7 @@ from .formats import (
     trace_document,
 )
 from .graph import (
-    ExpandedGraph,
     Graph,
-    Original,
-    VirtualEdge,
-    degree,
     expand_edges,
     new_graph,
     random_graph,
@@ -51,10 +47,8 @@ from .oracle import (
 from .refine import (
     Portrait,
     RefinementTrace,
-    compute_portrait,
     find_inequitable_pair,
     index_portraits,
-    initial_portraits,
     refine_step,
     refine_to_fixpoint,
     verify_equitable,
@@ -67,28 +61,21 @@ __all__ = [
     "ColorBijectionWitness",
     "Coloring",
     "CounterexampleWitness",
-    "ExpandedGraph",
     "Graph",
-    "Original",
     "ParseError",
     "Partition",
     "Portrait",
     "RefinementTrace",
     "TraceDocument",
-    "VirtualEdge",
     "coloring_from_labels",
     "colorings_isomorphic",
-    "compute_portrait",
-    "degree",
     "emit_coloring",
     "emit_dot",
     "emit_edge_list",
-    "emit_trace",
     "emit_trace_document",
     "expand_edges",
     "find_inequitable_pair",
     "index_portraits",
-    "initial_portraits",
     "is_refinement",
     "naive_refine",
     "new_graph",

@@ -70,12 +70,7 @@ def _load_coloring(path: str, vertex_count: int | None):
 
 def _cmd_refine(args) -> int:
     g = _load_graph(args.graph, args.format)
-    expansion = None
-    if args.expand_edges:
-        expansion = expand_edges(g)
-        target = expansion.graph
-    else:
-        target = g
+    target = expand_edges(g) if args.expand_edges else g
     if args.coloring is not None:
         initial = _load_coloring(args.coloring, target.vertex_count)
     else:
@@ -86,12 +81,11 @@ def _cmd_refine(args) -> int:
     trace = refine_to_fixpoint(target, initial, max_iters)
 
     edge_colors = ()
-    if expansion is not None:
-        base = expansion.original_count
+    if args.expand_edges:
         final = trace.final
         edge_colors = tuple(
-            (u, v, final.colors[base + i])
-            for i, (u, v) in enumerate(expansion.virtual_edges)
+            (u, v, final.colors[g.vertex_count + i])
+            for i, (u, v) in enumerate(g.edges())
         )
     doc = trace_document(trace, target, edge_colors)
     echo = (

@@ -52,10 +52,15 @@ def _content_lines(text: str, comment: str):
 
 
 def _int_field(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
+    # Only [+-]?[0-9]+: int() alone would also take "1_0" and non-ASCII
+    # digits such as "\u0661".
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() will convert
+            pass
+    raise ParseError(f"{what} {token!r} is not an integer", lineno)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -239,11 +244,6 @@ def emit_trace_document(doc: TraceDocument) -> str:
     for u, v, col in doc.edge_colors:
         lines.append(f"edge_color {u} {v} {col}")
     return "\n".join(lines) + "\n"
-
-
-def emit_trace(trace: RefinementTrace, g: Graph) -> str:
-    """Serialize a run on ``g`` (see emit_trace_document for the layout)."""
-    return emit_trace_document(trace_document(trace, g))
 
 
 def parse_trace(text: str) -> TraceDocument:

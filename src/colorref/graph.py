@@ -54,57 +54,6 @@ class Graph:
         ]
 
 
-@dataclass(frozen=True)
-class Original:
-    """Provenance tag: an expanded-graph vertex that was an input vertex."""
-
-    vertex: int
-
-
-@dataclass(frozen=True)
-class VirtualEdge:
-    """Provenance tag: an expanded-graph vertex that stands in for an edge."""
-
-    endpoints: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ExpandedGraph:
-    """A graph whose every edge has been subdivided by one virtual vertex.
-
-    Input vertices keep their ids ``0 .. n - 1``; virtual vertices occupy
-    ``n .. n + m - 1`` in lexicographic order of the edges they replace.
-    ``origin[w]`` records which of the two kinds ``w`` is.
-    """
-
-    graph: Graph
-    origin: tuple[Original | VirtualEdge, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.origin) != self.graph.vertex_count:
-            raise ValueError("origin must tag every vertex")
-        n = self.original_count
-        for w, tag in enumerate(self.origin):
-            if isinstance(tag, Original):
-                if w >= n or tag.vertex != w:
-                    raise ValueError("original vertices must keep ids 0..n-1")
-                if any(u < n for u in self.graph.adjacency[w]):
-                    raise ValueError(f"original vertex {w} is adjacent to an original")
-            else:
-                row = self.graph.adjacency[w]
-                if row != tuple(sorted(tag.endpoints)):
-                    raise ValueError(f"virtual vertex {w} must join exactly its endpoints")
-
-    @property
-    def original_count(self) -> int:
-        return sum(1 for tag in self.origin if isinstance(tag, Original))
-
-    @property
-    def virtual_edges(self) -> list[tuple[int, int]]:
-        """Endpoint pairs of the virtual vertices, in virtual-id order."""
-        return [tag.endpoints for tag in self.origin if isinstance(tag, VirtualEdge)]
-
-
 def new_graph(vertex_count: int, edges) -> Graph:
     """Build a validated graph from unordered id pairs.
 
@@ -127,34 +76,23 @@ def new_graph(vertex_count: int, edges) -> Graph:
     return Graph(vertex_count, tuple(tuple(sorted(row)) for row in rows))
 
 
-def degree(g: Graph, v: int) -> int:
-    """Number of neighbours of ``v``."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    return len(g.adjacency[v])
-
-
-def expand_edges(g: Graph) -> ExpandedGraph:
+def expand_edges(g: Graph) -> Graph:
     """Subdivide every edge of ``g`` with a fresh virtual vertex.
 
     The edge ``{u, v}`` is replaced by a virtual vertex ``w`` together with
     the edges ``{u, w}`` and ``{w, v}``; no direct edge between input
-    vertices survives. Virtual ids are assigned in lexicographic order of
-    the ``(min, max)`` edge pairs, so equal inputs always produce identical
-    expansions.
+    vertices survives. Input vertices keep their ids ``0 .. n - 1`` and the
+    virtual vertex of ``g.edges()[i]`` gets id ``n + i``, so equal inputs
+    always produce identical expansions.
     """
     edge_list = g.edges()
-    n, m = g.vertex_count, len(edge_list)
-    rows: list[list[int]] = [[] for _ in range(n + m)]
-    origin: list[Original | VirtualEdge] = [Original(v) for v in range(n)]
-    for i, (u, v) in enumerate(edge_list):
-        w = n + i
+    n = g.vertex_count
+    rows: list[list[int]] = [[] for _ in range(n)]
+    # w grows with the edge index, so every row is built in increasing order.
+    for w, (u, v) in enumerate(edge_list, start=n):
         rows[u].append(w)
         rows[v].append(w)
-        rows[w] = [u, v]
-        origin.append(VirtualEdge((u, v)))
-    graph = Graph(n + m, tuple(tuple(sorted(row)) for row in rows))
-    return ExpandedGraph(graph, tuple(origin))
+    return Graph(n + len(edge_list), tuple(map(tuple, rows)) + tuple(edge_list))
 
 
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:

@@ -31,8 +31,9 @@ def naive_refine(g: Graph, initial: Coloring) -> Partition:
 
     Returns the partition at which one more round changes nothing. Shares
     no refinement code with the engine. From the all-equal start the loop
-    provably settles within ``vertex_count`` rounds; other starts are only
-    conjectured to settle, so a generous cap guards against cycling.
+    provably settles within ``vertex_count`` rounds. Other starts can cycle
+    forever (on the edges {0, 2}, {1, 3} the start (0, 1, 0, 0) alternates
+    between two partitions), so a round cap ends the loop with RuntimeError.
     """
     if len(initial.colors) != g.vertex_count:
         raise ValueError("coloring and graph have different vertex counts")

@@ -1,14 +1,16 @@
 """Simultaneous recoloring of all vertices by neighbour-color counts.
 
 One step replaces every vertex's color with the rank of its "portrait",
-the vector counting its neighbours of each current color. Iterating the
-step coarsens nothing and eventually stabilises; the stable point is an
-equitable partition (any two same-colored vertices see identical color
-counts around them).
+the vector counting its neighbours of each current color. From the
+all-equal start iterating the step only refines, and it stabilises within
+``vertex_count`` steps at an equitable partition (any two same-colored
+vertices see identical color counts around them). From other starts a
+step can merge classes, and the partition can cycle without ever settling.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .coloring import Coloring, colorings_isomorphic
@@ -30,24 +32,20 @@ def zero_coloring(g: Graph) -> Coloring:
     return Coloring((0,) * n, 1 if n else 0)
 
 
-def initial_portraits(g: Graph) -> list[Portrait]:
-    """Per-vertex portraits under the all-equal start: the 1-vector ``(deg(v),)``.
+def _portraits(g: Graph, c: Coloring) -> Iterator[Portrait]:
+    """Yield the portrait of each vertex under ``c``, in vertex order.
 
-    With a single color in play, counting neighbours per color is just
-    counting neighbours, so degree-0 vertices need no special case.
+    This is the only place a portrait is built. It stays lazy so that
+    ``find_inequitable_pair`` stops at the first mismatch and holds only
+    one portrait per class.
     """
-    return [(len(g.adjacency[v]),) for v in range(g.vertex_count)]
-
-
-def compute_portrait(g: Graph, c: Coloring, v: int) -> Portrait:
-    """Count the neighbours of ``v`` wearing each color of ``c``'s palette."""
-    _check_sizes(g, c)
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    counts = [0] * c.palette_size
-    for u in g.adjacency[v]:
-        counts[c.colors[u]] += 1
-    return tuple(counts)
+    k = c.palette_size
+    colors = c.colors
+    for row in g.adjacency:
+        counts = [0] * k
+        for u in row:
+            counts[colors[u]] += 1
+        yield tuple(counts)
 
 
 def index_portraits(portraits) -> Coloring:
@@ -70,14 +68,7 @@ def index_portraits(portraits) -> Coloring:
 def refine_step(g: Graph, c: Coloring) -> Coloring:
     """One simultaneous recoloring: portraits under ``c``, then rank indexing."""
     _check_sizes(g, c)
-    counts_per_vertex = []
-    k = c.palette_size
-    for v in range(g.vertex_count):
-        counts = [0] * k
-        for u in g.adjacency[v]:
-            counts[c.colors[u]] += 1
-        counts_per_vertex.append(tuple(counts))
-    return index_portraits(counts_per_vertex)
+    return index_portraits(_portraits(g, c))
 
 
 @dataclass(frozen=True)
@@ -100,25 +91,17 @@ class RefinementTrace:
 
 
 def refine_to_fixpoint(
-    g: Graph,
-    initial: Coloring,
-    max_iters: int | None = None,
-    *,
-    palette_shortcut: bool = False,
+    g: Graph, initial: Coloring, max_iters: int | None = None
 ) -> RefinementTrace:
     """Iterate ``refine_step`` until two consecutive colorings are isomorphic.
 
     Once that happens, every later step only relabels colors, so stopping
     is sound. ``max_iters`` defaults to ``vertex_count + 2``: from the
     all-equal start the partition stabilises within ``vertex_count`` steps
-    and one more step witnesses the isomorphism. From other starts the
-    process may in principle still be changing at the cap; the trace then
-    reports ``converged_at=None`` rather than raising.
-
-    ``palette_shortcut=True`` stops as soon as the palette size repeats.
-    From the all-equal start that is equivalent to the isomorphism test;
-    from arbitrary starts it is unsound (the palette size can repeat while
-    classes still move) and is exposed only for cross-checking.
+    and one more step witnesses the isomorphism. Other starts can cycle
+    forever: on the edges {0, 2}, {1, 3} the start (0, 1, 0, 0) alternates
+    between two partitions. The trace then stops at the cap and reports
+    ``converged_at=None`` rather than raising.
     """
     _check_sizes(g, initial)
     if max_iters is None:
@@ -128,14 +111,10 @@ def refine_to_fixpoint(
     colorings = [initial]
     converged_at = None
     for t in range(1, max_iters + 1):
-        nxt = refine_step(g, colorings[-1])
         prev = colorings[-1]
+        nxt = refine_step(g, prev)
         colorings.append(nxt)
-        if palette_shortcut:
-            stable = prev.palette_size == nxt.palette_size
-        else:
-            stable = colorings_isomorphic(prev, nxt) is not None
-        if stable:
+        if colorings_isomorphic(prev, nxt) is not None:
             converged_at = t
             break
     return RefinementTrace(
@@ -149,8 +128,7 @@ def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
     """First vertex pair sharing a color but differing in portrait, if any."""
     _check_sizes(g, c)
     rep: dict[int, tuple[int, Portrait]] = {}
-    for v in range(g.vertex_count):
-        p = compute_portrait(g, c, v)
+    for v, p in enumerate(_portraits(g, c)):
         col = c.colors[v]
         if col not in rep:
             rep[col] = (v, p)

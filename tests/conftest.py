@@ -15,3 +15,11 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return new_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def brute_portrait(g, c, v):
+    # independent route: scan every vertex and test adjacency directly
+    return tuple(
+        sum(1 for u in range(g.vertex_count) if u in g.adjacency[v] and c.colors[u] == j)
+        for j in range(c.palette_size)
+    )

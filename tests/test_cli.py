@@ -66,6 +66,11 @@ def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     assert capsys.readouterr().out == "n=6 m=6 K_final=1 converged_at=1\n"
     doc = parse_trace(trace.read_text())
     assert doc.edge_colors == ((0, 1, 0), (0, 2, 0), (1, 2, 0))
+    # the middle edge of a four-path is told apart from the two end edges
+    p4 = write(tmp_path / "p4.edges", "0 1\n1 2\n2 3\n")
+    assert main(["refine", p4, "--expand-edges", "--trace", str(trace)]) == 0
+    doc = parse_trace(trace.read_text())
+    assert doc.edge_colors == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
 
 
 def test_refine_parse_failure_names_file_and_line(tmp_path, capsys):

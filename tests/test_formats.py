@@ -6,7 +6,6 @@ from colorref import (
     emit_coloring,
     emit_dot,
     emit_edge_list,
-    emit_trace,
     emit_trace_document,
     new_graph,
     parse_coloring,
@@ -19,6 +18,7 @@ from colorref import (
     trace_document,
     zero_coloring,
 )
+from colorref.cli import main
 from conftest import complete_graph, path_graph
 
 
@@ -172,7 +172,7 @@ def test_trace_document_triangle():
     assert doc.palette_sizes == (1, 1)
     assert doc.converged_at == 1
     assert doc.classes == ((0, 1, 2),)
-    assert emit_trace(t, g) == (
+    assert emit_trace_document(doc) == (
         "n 3\n"
         "m 3\n"
         "initial 0 0 0\n"
@@ -190,7 +190,7 @@ def test_trace_document_empty_graph():
     doc = trace_document(t, g)
     assert doc.vertex_count == 0
     assert doc.converged_at == 1
-    assert parse_trace(emit_trace(t, g)) == doc
+    assert parse_trace(emit_trace_document(doc)) == doc
 
 
 def test_trace_document_path5():
@@ -214,8 +214,9 @@ def test_trace_round_trip_with_extras():
 def test_parse_trace_ignores_comment_header():
     g = complete_graph(3)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    text = "# run metadata\n" + emit_trace(t, g)
-    assert parse_trace(text) == trace_document(t, g)
+    doc = trace_document(t, g)
+    text = "# run metadata\n" + emit_trace_document(doc)
+    assert parse_trace(text) == doc
 
 
 def test_parse_trace_rejects_garbage():
@@ -227,3 +228,39 @@ def test_parse_trace_rejects_garbage():
         parse_trace(
             "n 1\nm 0\ninitial 0\npalette_sizes 1 1\ncoloring 0\nconverged_at none\n"
         )
+
+
+# Each text puts a bad TOKEN on line 2. int() alone would accept the first
+# two: "1_0" reads as 10 and "\u0661" (Arabic-Indic digit one) as 1. It
+# refuses the third, which is longer than its digit limit. Each file-based
+# case also runs a command on it, which must exit 2 naming file and line.
+BAD_TOKEN_CASES = {
+    "edge_list": (parse_edge_list, "0 1\n0 TOKEN\n", "g.edges", ["refine", "{}"]),
+    "dimacs": (parse_dimacs, "p edge 10 1\ne 2 TOKEN\n", "g.col", ["refine", "{}"]),
+    "coloring": (parse_coloring, "0 0\n1 TOKEN\n", "c.colors", ["compare", "{}", "{}"]),
+    "trace": (  # no command reads a trace file
+        parse_trace,
+        "n 1\nm TOKEN\ninitial 0\npalette_sizes 1\ncoloring 0\nconverged_at none\n",
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0661", pytest.param("9" * 5000, id="5000-digits")]
+)
+@pytest.mark.parametrize("case", sorted(BAD_TOKEN_CASES))
+def test_parsers_accept_only_ascii_decimal_tokens(case, token, tmp_path, capsys):
+    parse, template, filename, command = BAD_TOKEN_CASES[case]
+    text = template.replace("TOKEN", token)
+    with pytest.raises(ParseError, match="line 2: .* is not an integer") as info:
+        parse(text)
+    assert info.value.line == 2
+    if filename is None:
+        return
+    path = tmp_path / filename
+    path.write_text(text)
+    assert main([arg.format(path) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 2:" in err

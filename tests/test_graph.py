@@ -1,14 +1,6 @@
 import pytest
 
-from colorref import (
-    Graph,
-    Original,
-    VirtualEdge,
-    degree,
-    expand_edges,
-    new_graph,
-    random_graph,
-)
+from colorref import Graph, expand_edges, new_graph, random_graph
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -16,18 +8,18 @@ def test_triangle_construction():
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.vertex_count == 3
     assert g.edge_count == 3
-    assert all(degree(g, v) == 2 for v in range(3))
+    assert all(len(g.adjacency[v]) == 2 for v in range(3))
 
 
 def test_single_isolated_vertex():
     g = new_graph(1, [])
     assert g.adjacency == ((),)
-    assert degree(g, 0) == 0
+    assert len(g.adjacency[0]) == 0
 
 
 def test_duplicate_edges_collapse():
     g = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 1)])
-    assert [degree(g, v) for v in range(4)] == [1, 2, 2, 1]
+    assert [len(g.adjacency[v]) for v in range(4)] == [1, 2, 2, 1]
     assert g.edge_count == 3
 
 
@@ -58,10 +50,9 @@ def test_graph_validation_catches_bad_adjacency():
 
 def test_degree_star():
     g = star_graph(4)
-    assert degree(g, 0) == 4
-    assert degree(g, 1) == 1
-    with pytest.raises(ValueError):
-        degree(g, 5)
+    assert len(g.adjacency[0]) == 4
+    assert len(g.adjacency[1]) == 1
+    assert len(g.adjacency) == 5  # no vertex 5
 
 
 def test_edges_are_sorted_pairs():
@@ -71,42 +62,39 @@ def test_edges_are_sorted_pairs():
 
 def test_expand_single_edge_gives_three_path():
     e = expand_edges(new_graph(2, [(0, 1)]))
-    assert e.graph == Graph(3, ((2,), (2,), (0, 1)))
-    assert e.origin == (Original(0), Original(1), VirtualEdge((0, 1)))
+    assert e == Graph(3, ((2,), (2,), (0, 1)))
 
 
 def test_expand_triangle_gives_six_cycle():
-    e = expand_edges(complete_graph(3))
-    g = e.graph
+    g = expand_edges(complete_graph(3))
     assert g.vertex_count == 6
     assert g.edge_count == 6
-    assert all(degree(g, v) == 2 for v in range(6))
+    assert all(len(g.adjacency[v]) == 2 for v in range(6))
     # originals 0..2 and virtuals 3..5 alternate around the cycle
     for v in range(3):
         assert all(u >= 3 for u in g.adjacency[v])
-    assert e.virtual_edges == [(0, 1), (0, 2), (1, 2)]
+    assert list(g.adjacency[3:]) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_expand_path4():
     g = path_graph(4)
     e = expand_edges(g)
-    assert e.graph.vertex_count == 7
-    assert e.graph.edge_count == 6
-    assert e.virtual_edges == [(0, 1), (1, 2), (2, 3)]
+    assert e.vertex_count == 7
+    assert e.edge_count == 6
+    assert list(e.adjacency[4:]) == [(0, 1), (1, 2), (2, 3)]
     # subdivision is a path again: 0-4-1-5-2-6-3
-    assert e.graph.adjacency == ((4,), (4, 5), (5, 6), (6,), (0, 1), (1, 2), (2, 3))
+    assert e.adjacency == ((4,), (4, 5), (5, 6), (6,), (0, 1), (1, 2), (2, 3))
 
 
 def test_expand_counts_and_projection():
     g = random_graph(12, 0.4, 3)
     e = expand_edges(g)
     m = g.edge_count
-    assert e.graph.vertex_count == g.vertex_count + m
-    assert e.graph.edge_count == 2 * m
-    for i, (u, v) in enumerate(e.virtual_edges):
+    assert e.vertex_count == g.vertex_count + m
+    assert e.edge_count == 2 * m
+    for i, (u, v) in enumerate(g.edges()):
         w = g.vertex_count + i
-        assert e.graph.adjacency[w] == (u, v)
-    assert sorted(e.virtual_edges) == g.edges()
+        assert e.adjacency[w] == (u, v)
 
 
 def test_expand_is_deterministic():

@@ -4,18 +4,21 @@ from hypothesis import strategies as st
 from colorref import (
     coloring_from_labels,
     colorings_isomorphic,
-    compute_portrait,
-    emit_trace,
+    emit_trace_document,
     expand_edges,
+    find_inequitable_pair,
+    index_portraits,
     is_refinement,
     naive_refine,
     new_graph,
     partition_of,
     refine_step,
     refine_to_fixpoint,
+    trace_document,
     verify_equitable,
     zero_coloring,
 )
+from conftest import brute_portrait
 
 
 @st.composite
@@ -59,22 +62,32 @@ def test_graph_invariants_hold_by_scan(g):
 def test_expansion_invariants(g):
     e = expand_edges(g)
     n, m = g.vertex_count, g.edge_count
-    assert e.graph.vertex_count == n + m
-    assert e.graph.edge_count == 2 * m
-    for i, (u, v) in enumerate(e.virtual_edges):
-        assert e.graph.adjacency[n + i] == (u, v)
+    assert e.vertex_count == n + m
+    assert e.edge_count == 2 * m
+    assert list(e.adjacency[n:]) == g.edges()
     for v in range(n):
-        assert all(w >= n for w in e.graph.adjacency[v])
-    assert sorted(e.virtual_edges) == g.edges()
+        assert all(w >= n for w in e.adjacency[v])
 
 
 @given(graphs_with_colorings())
 def test_portrait_counts_sum_to_degree(gc):
     g, c = gc
-    for v in range(g.vertex_count):
-        p = compute_portrait(g, c, v)
+    portraits = [brute_portrait(g, c, v) for v in range(g.vertex_count)]
+    assert refine_step(g, c) == index_portraits(portraits)
+    for v, p in enumerate(portraits):
         assert sum(p) == len(g.adjacency[v])
         assert len(p) == c.palette_size
+    pair = find_inequitable_pair(g, c)
+    if pair is None:
+        assert all(
+            portraits[u] == portraits[v]
+            for u in range(g.vertex_count)
+            for v in range(u)
+            if c.colors[u] == c.colors[v]
+        )
+    else:
+        u, v = pair
+        assert c.colors[u] == c.colors[v] and portraits[u] != portraits[v]
 
 
 @given(graphs_with_colorings())
@@ -94,7 +107,9 @@ def test_traces_ignore_edge_input_order(gc, rnd):
     assert g2 == g
     t1 = refine_to_fixpoint(g, c)
     t2 = refine_to_fixpoint(g2, c)
-    assert emit_trace(t1, g) == emit_trace(t2, g2)
+    assert emit_trace_document(trace_document(t1, g)) == emit_trace_document(
+        trace_document(t2, g2)
+    )
 
 
 @given(graphs_with_colorings(min_n=1), st.randoms(use_true_random=False))

@@ -3,10 +3,8 @@ import pytest
 from colorref import (
     coloring_from_labels,
     colorings_isomorphic,
-    compute_portrait,
     find_inequitable_pair,
     index_portraits,
-    initial_portraits,
     naive_refine,
     new_graph,
     partition_of,
@@ -15,15 +13,8 @@ from colorref import (
     verify_equitable,
     zero_coloring,
 )
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
-
-
-def brute_portrait(g, c, v):
-    # independent route: scan every vertex and test adjacency directly
-    return tuple(
-        sum(1 for u in range(g.vertex_count) if u in g.adjacency[v] and c.colors[u] == j)
-        for j in range(c.palette_size)
-    )
+from colorref.cli import main
+from conftest import brute_portrait, complete_graph, cycle_graph, path_graph, star_graph
 
 
 def test_zero_coloring():
@@ -33,34 +24,38 @@ def test_zero_coloring():
     assert zero_coloring(complete_graph(5)).colors == (0,) * 5
 
 
-def test_initial_portraits_are_degree_vectors():
-    assert initial_portraits(path_graph(4)) == [(1,), (2,), (2,), (1,)]
-    assert initial_portraits(cycle_graph(6)) == [(2,)] * 6
-    assert initial_portraits(star_graph(3)) == [(3,), (1,), (1,), (1,)]
-    assert initial_portraits(new_graph(0, [])) == []
+def test_zero_start_portraits_are_degree_vectors():
+    # under the all-equal start a vertex's portrait counts all its neighbours
+    for g, degrees in (
+        (path_graph(4), [1, 2, 2, 1]),
+        (cycle_graph(6), [2] * 6),
+        (star_graph(3), [3, 1, 1, 1]),
+        (new_graph(0, []), []),
+    ):
+        assert refine_step(g, zero_coloring(g)) == index_portraits((d,) for d in degrees)
 
 
 def test_portrait_on_four_cycle():
     g = cycle_graph(4)
     c = coloring_from_labels([0, 1, 1, 1])
-    assert compute_portrait(g, c, 0) == (0, 2)
-    for v in range(4):
-        assert compute_portrait(g, c, v) == brute_portrait(g, c, v)
+    assert brute_portrait(g, c, 0) == (0, 2)
+    assert refine_step(g, c) == index_portraits(brute_portrait(g, c, v) for v in range(4))
 
 
 def test_portrait_under_zero_coloring_is_degree():
     g = star_graph(4)
-    c = zero_coloring(g)
-    for v in range(5):
-        assert compute_portrait(g, c, v) == (len(g.adjacency[v]),)
+    assert refine_step(g, zero_coloring(g)) == index_portraits(
+        (len(g.adjacency[v]),) for v in range(5)
+    )
 
 
 def test_portrait_of_isolated_vertex():
     g = new_graph(4, [(1, 2), (2, 3), (1, 3)])
     c = coloring_from_labels([5, 0, 1, 2])
-    assert compute_portrait(g, c, 0) == (0, 0, 0, 0)
+    assert brute_portrait(g, c, 0) == (0, 0, 0, 0)
+    assert refine_step(g, c) == index_portraits(brute_portrait(g, c, v) for v in range(4))
     with pytest.raises(ValueError):
-        compute_portrait(g, c, 4)
+        find_inequitable_pair(g, coloring_from_labels([0, 0, 0, 0, 0]))
 
 
 def test_index_portraits_ranks_lexicographically():
@@ -151,21 +146,45 @@ def test_fixpoint_respects_cap():
         refine_to_fixpoint(g, zero_coloring(g), max_iters=0)
 
 
-def test_palette_shortcut_agrees_from_zero_start():
+def palette_plateau(trace):
+    """First step whose palette size repeats the previous one, or None."""
+    sizes = trace.palette_sizes
+    return next((t for t in range(1, len(sizes)) if sizes[t - 1] == sizes[t]), None)
+
+
+def test_palette_plateau_agrees_from_zero_start():
     for g in (path_graph(7), cycle_graph(5), star_graph(4), complete_graph(3)):
         full = refine_to_fixpoint(g, zero_coloring(g))
-        quick = refine_to_fixpoint(g, zero_coloring(g), palette_shortcut=True)
-        assert full.converged_at == quick.converged_at
-        assert full.colorings == quick.colorings
+        assert palette_plateau(full) == full.converged_at
 
 
-def test_palette_shortcut_is_unsound_for_arbitrary_starts():
+def test_palette_plateau_is_unsound_for_arbitrary_starts():
     g = cycle_graph(4)
-    init = coloring_from_labels([0, 1, 1, 1])
-    quick = refine_to_fixpoint(g, init, palette_shortcut=True)
+    t = refine_to_fixpoint(g, coloring_from_labels([0, 1, 1, 1]))
     # palette size repeats immediately although the classes moved
-    assert quick.converged_at == 1
-    assert colorings_isomorphic(quick.colorings[0], quick.colorings[1]) is None
+    assert palette_plateau(t) == 1
+    assert colorings_isomorphic(t.colorings[0], t.colorings[1]) is None
+
+
+def test_oscillating_start_never_converges(tmp_path, capsys):
+    g = new_graph(4, [(0, 2), (1, 3)])
+    start = coloring_from_labels([0, 1, 0, 0])
+    t = refine_to_fixpoint(g, start)
+    assert t.converged_at is None
+    parts = [partition_of(c) for c in t.colorings]
+    assert parts[:3] == [((0, 2, 3), (1,)), ((0, 1, 2), (3,)), ((0, 2, 3), (1,))]
+    assert all(parts[i] == parts[i + 2] != parts[i + 1] for i in range(len(parts) - 2))
+    with pytest.raises(RuntimeError):
+        naive_refine(g, start)
+
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 2\n1 3\n")
+    colors = tmp_path / "start.colors"
+    colors.write_text("0 0\n1 1\n2 0\n3 0\n")
+    code = main(["refine", str(edges), "--coloring", str(colors),
+                 "--trace", str(tmp_path / "t")])
+    assert code == 3
+    assert capsys.readouterr().out == "n=4 m=2 K_final=2 converged_at=none\n"
 
 
 def test_verify_equitable_examples():
