@@ -247,7 +247,13 @@ def emit_trace_document(doc: TraceDocument) -> str:
 
 
 def parse_trace(text: str) -> TraceDocument:
-    """Parse trace-document text back into an equal TraceDocument."""
+    """Parse trace-document text back into an equal TraceDocument.
+
+    Besides the syntax, the records must agree: every coloring has ``n``
+    entries and uses exactly the colors ``0 .. K - 1`` of its
+    ``palette_sizes`` entry, the classes partition ``0 .. n - 1``, and a
+    ``converged_at`` step lies in ``1 .. len(colorings) - 1``.
+    """
     n = m = None
     initial: tuple[int, ...] | None = None
     palette_sizes: tuple[int, ...] | None = None
@@ -255,11 +261,16 @@ def parse_trace(text: str) -> TraceDocument:
     converged_at: int | None = None
     saw_converged = False
     classes: list[tuple[int, ...]] = []
+    # line numbers of the records checked against each other at the end
+    coloring_lines: list[int] = []
+    class_lines: list[int] = []
+    converged_line = 0
     edge_colors: list[tuple[int, int, int]] = []
     for lineno, parts in _content_lines(text, "#"):
         key, values = parts[0], parts[1:]
         if key == "converged_at":
             saw_converged = True
+            converged_line = lineno
             if len(values) != 1:
                 raise ParseError("converged_at needs exactly one value", lineno)
             if values[0] != "none":
@@ -279,8 +290,10 @@ def parse_trace(text: str) -> TraceDocument:
             palette_sizes = tuple(ints)
         elif key == "coloring":
             colorings.append(tuple(ints))
+            coloring_lines.append(lineno)
         elif key == "class":
             classes.append(tuple(ints))
+            class_lines.append(lineno)
         elif key == "edge_color":
             if len(ints) != 3:
                 raise ParseError("edge_color needs 'u v color'", lineno)
@@ -295,6 +308,27 @@ def parse_trace(text: str) -> TraceDocument:
         raise ParseError("first coloring record must repeat the initial coloring")
     if len(palette_sizes) != len(colorings):
         raise ParseError("palette_sizes must list one size per coloring")
+    for coloring, k, lineno in zip(colorings, palette_sizes, coloring_lines):
+        if len(coloring) != n:
+            raise ParseError(f"coloring has {len(coloring)} entries, not n = {n}", lineno)
+        used = set(coloring)
+        if len(used) != k or any(not 0 <= col < k for col in used):
+            raise ParseError(f"coloring does not use exactly the {k} colors 0..{k - 1}", lineno)
+    # n now equals the length of a coloring record, so it is safe to allocate
+    seen = [False] * n
+    for cls, lineno in zip(classes, class_lines):
+        if not cls:
+            raise ParseError("empty class", lineno)
+        for v in cls:
+            if not 0 <= v < n or seen[v]:
+                raise ParseError(f"vertex {v} is outside 0..{n - 1} or in two classes", lineno)
+            seen[v] = True
+    if not all(seen):
+        raise ParseError(f"vertex {seen.index(False)} is in no class")
+    if converged_at is not None and not 1 <= converged_at < len(colorings):
+        raise ParseError(
+            f"converged_at must lie in 1..{len(colorings) - 1}", converged_line
+        )
     return TraceDocument(
         vertex_count=n,
         edge_count=m,

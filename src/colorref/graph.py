@@ -24,7 +24,9 @@ class Graph:
             raise ValueError("vertex_count must be non-negative")
         if len(self.adjacency) != n:
             raise ValueError("adjacency must have one row per vertex")
-        arcs = set()
+        # back[u] collects every v listing u; v ascends, so the graph is
+        # symmetric exactly when each row equals its back list.
+        back: list[list[int]] = [[] for _ in range(n)]
         for v, row in enumerate(self.adjacency):
             prev = -1
             for u in row:
@@ -35,9 +37,10 @@ class Graph:
                 if u <= prev:
                     raise ValueError(f"adjacency row {v} must be strictly increasing")
                 prev = u
-                arcs.add((v, u))
-        for v, u in arcs:
-            if (u, v) not in arcs:
+                back[u].append(v)
+        for v, row in enumerate(self.adjacency):
+            if row != tuple(back[v]):
+                u = min(set(row).symmetric_difference(back[v]))
                 raise ValueError(f"edge {{{u}, {v}}} is missing its reverse entry")
 
     @property

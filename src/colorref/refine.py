@@ -6,6 +6,15 @@ all-equal start iterating the step only refines, and it stabilises within
 ``vertex_count`` steps at an equitable partition (any two same-colored
 vertices see identical color counts around them). From other starts a
 step can merge classes, and the partition can cycle without ever settling.
+
+The engine never builds the dense count vector. It keys each vertex by the
+sorted multiset of its neighbours' colors followed by the sentinel
+``palette_size`` and ranks the distinct keys in descending order, which
+gives exactly the colors that ascending lexicographic rank of the dense
+vectors (``index_portraits``) gives; ``_portraits`` holds the proof. So a
+step builds its portraits in O(n + m log Δ) for n vertices, m edges and
+maximum degree Δ, whatever the palette size, and then sorts the distinct
+ones to rank them.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ from .coloring import Coloring, colorings_isomorphic
 from .graph import Graph
 
 # A portrait is the count vector of a vertex's neighbours per color,
-# indexed by color id; its length equals the palette size in force.
+# indexed by color id; its length equals the palette size in force. The
+# engine works on its sparse key instead (see ``_portraits``).
 Portrait = tuple[int, ...]
 
 
@@ -32,20 +42,37 @@ def zero_coloring(g: Graph) -> Coloring:
     return Coloring((0,) * n, 1 if n else 0)
 
 
-def _portraits(g: Graph, c: Coloring) -> Iterator[Portrait]:
-    """Yield the portrait of each vertex under ``c``, in vertex order.
+def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
+    """Yield the portrait key of each vertex under ``c``, in vertex order.
+
+    The key of a vertex is the ascending list of its neighbours' colors
+    followed by the sentinel ``K = c.palette_size``, which exceeds every
+    color. It costs O(d log d) for a vertex of degree d, against O(K) for
+    the dense count vector it encodes.
+
+    Keys order dense vectors in reverse. Take dense vectors a and b whose
+    first difference is at index i, with a[i] > b[i]. Their keys agree on
+    every color below i and on the first b[i] copies of color i. At the
+    next position a holds i, while b holds a color greater than i or the
+    sentinel. So key(a) < key(b): ascending dense order is descending key
+    order, and equal keys mean equal vectors.
 
     This is the only place a portrait is built. It stays lazy so that
     ``find_inequitable_pair`` stops at the first mismatch and holds only
-    one portrait per class.
+    one key per class.
     """
     k = c.palette_size
-    colors = c.colors
+    at = c.colors.__getitem__
     for row in g.adjacency:
-        counts = [0] * k
-        for u in row:
-            counts[colors[u]] += 1
-        yield tuple(counts)
+        key = sorted(map(at, row))
+        key.append(k)
+        yield tuple(key)
+
+
+def _rank(keys, descending: bool) -> Coloring:
+    keys = list(keys)
+    rank = {p: i for i, p in enumerate(sorted(set(keys), reverse=descending))}
+    return Coloring(tuple(map(rank.__getitem__, keys)), len(rank))
 
 
 def index_portraits(portraits) -> Coloring:
@@ -53,22 +80,22 @@ def index_portraits(portraits) -> Coloring:
 
     Any bijection from portraits to fresh color ids would do; fixing the
     lexicographic one makes runs reproducible. All portraits must have the
-    same length (they were computed against one palette).
+    same length (they were computed against one palette). This is the
+    dense reference: ``refine_step`` gives the colors this function gives
+    to the portraits' count vectors, without building them.
     """
     portraits = list(portraits)
     if portraits:
         width = len(portraits[0])
         if any(len(p) != width for p in portraits):
             raise ValueError("portraits of mixed lengths cannot be indexed together")
-    distinct = sorted(set(portraits))
-    rank = {p: i for i, p in enumerate(distinct)}
-    return Coloring(tuple(rank[p] for p in portraits), len(distinct))
+    return _rank(portraits, descending=False)
 
 
 def refine_step(g: Graph, c: Coloring) -> Coloring:
-    """One simultaneous recoloring: portraits under ``c``, then rank indexing."""
+    """One simultaneous recoloring: portrait keys under ``c``, ranked descending."""
     _check_sizes(g, c)
-    return index_portraits(_portraits(g, c))
+    return _rank(_portraits(g, c), descending=True)
 
 
 @dataclass(frozen=True)
@@ -127,7 +154,7 @@ def refine_to_fixpoint(
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
     """First vertex pair sharing a color but differing in portrait, if any."""
     _check_sizes(g, c)
-    rep: dict[int, tuple[int, Portrait]] = {}
+    rep: dict[int, tuple[int, tuple[int, ...]]] = {}
     for v, p in enumerate(_portraits(g, c)):
         col = c.colors[v]
         if col not in rep:

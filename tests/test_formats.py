@@ -230,6 +230,53 @@ def test_parse_trace_rejects_garbage():
         )
 
 
+# A consistent three-vertex trace; each case below breaks one record of it.
+GOOD_TRACE = (
+    "n 3\nm 2\ninitial 0 0 0\npalette_sizes 1 2 2\n"
+    "coloring 0 0 0\ncoloring 0 1 0\ncoloring 0 1 0\n"
+    "converged_at 2\nclass 0 2\nclass 1\n"
+)
+
+
+def test_good_trace_parses():
+    doc = parse_trace(GOOD_TRACE)
+    assert doc.classes == ((0, 2), (1,))
+    assert emit_trace_document(doc) == GOOD_TRACE
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # a coloring's width is not n
+        ("n 3", "n 4", "line 5: coloring has 3 entries, not n = 4"),
+        ("coloring 0 1 0\nconverged", "coloring 0 1\nconverged",
+         "line 7: coloring has 2 entries, not n = 3"),
+        # a palette that is not compact, or not the declared size
+        ("palette_sizes 1 2 2", "palette_sizes 1 2 3",
+         r"line 7: coloring does not use exactly the 3 colors 0..2"),
+        ("coloring 0 1 0\nconverged", "coloring 0 2 0\nconverged",
+         r"line 7: coloring does not use exactly the 2 colors 0..1"),
+        ("initial 0 0 0\npalette_sizes 1", "initial 0 0 0\npalette_sizes 5",
+         r"line 5: coloring does not use exactly the 5 colors 0..4"),
+        # classes that do not partition 0..n-1
+        ("class 0 2\n", "class 0 0\n", "line 9: vertex 0 is outside 0..2 or in two"),
+        ("class 1\n", "class 1 7\n", "line 10: vertex 7 is outside 0..2 or in two"),
+        ("class 0 2\n", "class 0\n", "vertex 2 is in no class"),
+        ("class 1\n", "class\n", "line 10: empty class"),
+        # converged_at outside 1..len(colorings)-1
+        ("converged_at 2", "converged_at 0", r"line 8: converged_at must lie in 1..2"),
+        ("converged_at 2", "converged_at 3", r"line 8: converged_at must lie in 1..2"),
+    ],
+    ids=["n-too-large", "short-coloring", "palette-size-differs", "palette-gap",
+         "initial-palette", "class-repeats", "class-out-of-range", "class-missing",
+         "class-empty", "converged-at-zero", "converged-at-past-end"],
+)
+def test_parse_trace_rejects_inconsistent_records(old, new, message):
+    assert old in GOOD_TRACE
+    with pytest.raises(ParseError, match=message):
+        parse_trace(GOOD_TRACE.replace(old, new, 1))
+
+
 # Each text puts a bad TOKEN on line 2. int() alone would accept the first
 # two: "1_0" reads as 10 and "\u0661" (Arabic-Indic digit one) as 1. It
 # refuses the third, which is longer than its digit limit. Each file-based

@@ -48,6 +48,27 @@ def test_graph_validation_catches_bad_adjacency():
         Graph(2, ((1, 1), (0, 0)))
 
 
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (-1, (), "vertex_count must be non-negative"),
+        (3, ((1,), (0,)), "one row per vertex"),
+        (2, ((2,), ()), "neighbour 2 of vertex 0 is out of range"),
+        (2, ((-1,), ()), "neighbour -1 of vertex 0 is out of range"),
+        (3, ((1,), (0, 1), ()), "self-loop at vertex 1"),
+        (3, ((2, 1), (0,), (0,)), "adjacency row 0 must be strictly increasing"),
+        # 1 lists 2 but 2 lists 0 in its place: every row is still well formed
+        (3, ((2,), (2,), (0,)), r"edge \{2, 1\} is missing its reverse entry"),
+        (3, ((1, 2), (0,), ()), r"edge \{2, 0\} is missing its reverse entry"),
+    ],
+    ids=["negative-n", "row-count", "above-range", "below-range", "self-loop",
+         "not-increasing", "reverse-swapped", "reverse-absent"],
+)
+def test_graph_constructor_rejects(n, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, rows)
+
+
 def test_degree_star():
     g = star_graph(4)
     assert len(g.adjacency[0]) == 4

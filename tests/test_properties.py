@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from colorref import (
@@ -11,6 +11,7 @@ from colorref import (
     is_refinement,
     naive_refine,
     new_graph,
+    parse_trace,
     partition_of,
     refine_step,
     refine_to_fixpoint,
@@ -22,12 +23,12 @@ from conftest import brute_portrait
 
 
 @st.composite
-def graphs(draw, min_n=0, max_n=10):
+def graphs(draw, min_n=0, max_n=10, sparse=False):
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not pairs:
         return new_graph(n, [])
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=n if sparse else len(pairs)))
     return new_graph(n, edges)
 
 
@@ -88,6 +89,34 @@ def test_portrait_counts_sum_to_degree(gc):
     else:
         u, v = pair
         assert c.colors[u] == c.colors[v] and portraits[u] != portraits[v]
+
+
+@given(graphs_with_colorings())
+def test_parse_trace_round_trips_emitted_traces(gc):
+    g, c = gc
+    for cap in (1, None):
+        doc = trace_document(refine_to_fixpoint(g, c, max_iters=cap), g)
+        assert parse_trace(emit_trace_document(doc)) == doc
+
+
+@st.composite
+def graphs_with_wide_starts(draw):
+    # labels up to n give palettes near n; at most n edges give long runs
+    g = draw(graphs(max_n=24, sparse=True))
+    n = g.vertex_count
+    labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    return g, coloring_from_labels(labels)
+
+
+@given(graphs_with_wide_starts())
+@settings(max_examples=100, deadline=None)
+def test_every_step_of_a_run_matches_the_dense_reference(gc):
+    g, c = gc
+    trace = refine_to_fixpoint(g, c)
+    target(len(trace.colorings), label="colorings in the run")
+    for prev, nxt in zip(trace.colorings, trace.colorings[1:]):
+        dense = [brute_portrait(g, prev, v) for v in range(g.vertex_count)]
+        assert nxt == index_portraits(dense)
 
 
 @given(graphs_with_colorings())

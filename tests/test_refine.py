@@ -58,6 +58,43 @@ def test_portrait_of_isolated_vertex():
         find_inequitable_pair(g, coloring_from_labels([0, 0, 0, 0, 0]))
 
 
+def brute_inequitable_pair(g, c):
+    rep = {}
+    for v in range(g.vertex_count):
+        p = brute_portrait(g, c, v)
+        u, q = rep.setdefault(c.colors[v], (v, p))
+        if q != p:
+            return (u, v)
+    return None
+
+
+def test_rank_contract_on_each_ordering_case():
+    # hubs 1, 2 (color 0) and 3 (color 1); targets 0 and 4..7 (color 2)
+    g = new_graph(8, [(1, 4), (2, 4), (1, 5), (3, 6), (2, 7), (3, 7)])
+    c = coloring_from_labels([2, 0, 0, 1, 2, 2, 2, 2])
+    portraits = [brute_portrait(g, c, v) for v in range(8)]
+    # ascending dense order, with each target's key (K = 3 is the sentinel)
+    assert [portraits[v] for v in (0, 6, 5, 7, 4)] == [
+        (0, 0, 0),  # (K,): an isolated vertex's key is the sentinel alone
+        (0, 1, 0),  # (1, K): color 0 absent, below every vertex that sees it
+        (1, 0, 0),  # (0, K): the multiset {0} is a prefix of {0, 1}
+        (1, 1, 0),  # (0, 1, K)
+        (2, 0, 0),  # (0, 0, K): one more copy of color 0 than (1, 1, 0)
+    ]
+    got = refine_step(g, c)
+    assert got == index_portraits(portraits)
+    # the hubs all see (0, 0, 2) and rank between the first two targets
+    assert got.colors == (0, 1, 1, 1, 5, 3, 2, 4)
+    assert find_inequitable_pair(g, c) == brute_inequitable_pair(g, c) == (0, 4)
+    # only 4 and 7 share a color, so the scan runs past every other vertex
+    c2 = coloring_from_labels([5, 0, 6, 1, 2, 3, 4, 2])
+    assert find_inequitable_pair(g, c2) == brute_inequitable_pair(g, c2) == (4, 7)
+    # under the new colors the hubs 1 and 2 still match, their portraits not
+    assert find_inequitable_pair(g, got) == brute_inequitable_pair(g, got) == (1, 2)
+    stable = refine_to_fixpoint(g, zero_coloring(g)).final
+    assert find_inequitable_pair(g, stable) is brute_inequitable_pair(g, stable) is None
+
+
 def test_index_portraits_ranks_lexicographically():
     c = index_portraits([(1,), (2,), (2,), (1,)])
     assert (c.colors, c.palette_size) == ((0, 1, 1, 0), 2)
