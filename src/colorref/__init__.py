@@ -40,7 +40,6 @@ from .graph import (
 from .oracle import (
     CounterexampleWitness,
     naive_refine,
-    replay_witness,
     search_refinement_counterexample,
     violation_witness,
 )
@@ -51,7 +50,6 @@ from .refine import (
     index_portraits,
     refine_step,
     refine_to_fixpoint,
-    verify_equitable,
     zero_coloring,
 )
 
@@ -87,10 +85,8 @@ __all__ = [
     "random_graph",
     "refine_step",
     "refine_to_fixpoint",
-    "replay_witness",
     "search_refinement_counterexample",
     "trace_document",
-    "verify_equitable",
     "violation_witness",
     "zero_coloring",
 ]

@@ -25,6 +25,8 @@ class Coloring:
         k = self.palette_size
         if k < 0:
             raise ValueError("palette_size must be non-negative")
+        if k > len(self.colors):  # checked before allocating k slots
+            raise ValueError(f"palette is not compact: {k} colors for {len(self.colors)} vertices")
         used = [False] * k
         for v, c in enumerate(self.colors):
             if not 0 <= c < k:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import colorsys
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .coloring import Coloring, Partition, coloring_from_labels, partition_of
 from .graph import Graph, new_graph
@@ -249,17 +250,19 @@ def emit_trace_document(doc: TraceDocument) -> str:
 def parse_trace(text: str) -> TraceDocument:
     """Parse trace-document text back into an equal TraceDocument.
 
-    Besides the syntax, the records must agree: every coloring has ``n``
-    entries and uses exactly the colors ``0 .. K - 1`` of its
-    ``palette_sizes`` entry, the classes partition ``0 .. n - 1``, and a
-    ``converged_at`` step lies in ``1 .. len(colorings) - 1``.
+    Besides the syntax, the records must agree: ``n``, ``m``, ``initial``,
+    ``palette_sizes`` and ``converged_at`` appear once each and ``n`` and
+    ``m`` are non-negative; every coloring has ``n`` entries and is a
+    ``Coloring`` with the palette size of its ``palette_sizes`` entry; the
+    classes are ``partition_of`` the last coloring; and a ``converged_at``
+    step lies in ``1 .. len(colorings) - 1``.
     """
     n = m = None
     initial: tuple[int, ...] | None = None
     palette_sizes: tuple[int, ...] | None = None
     colorings: list[tuple[int, ...]] = []
     converged_at: int | None = None
-    saw_converged = False
+    once: set[str] = set()
     classes: list[tuple[int, ...]] = []
     # line numbers of the records checked against each other at the end
     coloring_lines: list[int] = []
@@ -268,8 +271,11 @@ def parse_trace(text: str) -> TraceDocument:
     edge_colors: list[tuple[int, int, int]] = []
     for lineno, parts in _content_lines(text, "#"):
         key, values = parts[0], parts[1:]
+        if key in ("n", "m", "initial", "palette_sizes", "converged_at"):
+            if key in once:
+                raise ParseError(f"duplicate {key} record", lineno)
+            once.add(key)
         if key == "converged_at":
-            saw_converged = True
             converged_line = lineno
             if len(values) != 1:
                 raise ParseError("converged_at needs exactly one value", lineno)
@@ -280,6 +286,8 @@ def parse_trace(text: str) -> TraceDocument:
         if key in ("n", "m"):
             if len(ints) != 1:
                 raise ParseError(f"{key} needs exactly one value", lineno)
+            if ints[0] < 0:
+                raise ParseError(f"{key} must be non-negative", lineno)
             if key == "n":
                 n = ints[0]
             else:
@@ -302,7 +310,7 @@ def parse_trace(text: str) -> TraceDocument:
             raise ParseError(f"unrecognized record {key!r}", lineno)
     if n is None or m is None:
         raise ParseError("missing graph summary (n/m records)")
-    if initial is None or palette_sizes is None or not saw_converged:
+    if initial is None or palette_sizes is None or "converged_at" not in once:
         raise ParseError("missing initial, palette_sizes, or converged_at record")
     if not colorings or colorings[0] != initial:
         raise ParseError("first coloring record must repeat the initial coloring")
@@ -311,20 +319,13 @@ def parse_trace(text: str) -> TraceDocument:
     for coloring, k, lineno in zip(colorings, palette_sizes, coloring_lines):
         if len(coloring) != n:
             raise ParseError(f"coloring has {len(coloring)} entries, not n = {n}", lineno)
-        used = set(coloring)
-        if len(used) != k or any(not 0 <= col < k for col in used):
-            raise ParseError(f"coloring does not use exactly the {k} colors 0..{k - 1}", lineno)
-    # n now equals the length of a coloring record, so it is safe to allocate
-    seen = [False] * n
-    for cls, lineno in zip(classes, class_lines):
-        if not cls:
-            raise ParseError("empty class", lineno)
-        for v in cls:
-            if not 0 <= v < n or seen[v]:
-                raise ParseError(f"vertex {v} is outside 0..{n - 1} or in two classes", lineno)
-            seen[v] = True
-    if not all(seen):
-        raise ParseError(f"vertex {seen.index(False)} is in no class")
+        try:
+            final = Coloring(coloring, k)
+        except ValueError as err:
+            raise ParseError(str(err), lineno) from None
+    for cls, want, lineno in zip_longest(classes, partition_of(final), class_lines):
+        if cls != want:  # lineno is None when class records are missing at the end
+            raise ParseError("classes are not the final coloring's partition", lineno)
     if converged_at is not None and not 1 <= converged_at < len(colorings):
         raise ParseError(
             f"converged_at must lie in 1..{len(colorings) - 1}", converged_line

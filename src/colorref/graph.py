@@ -60,23 +60,18 @@ class Graph:
 def new_graph(vertex_count: int, edges) -> Graph:
     """Build a validated graph from unordered id pairs.
 
-    Duplicate pairs collapse to a single edge. Raises ValueError on
-    self-loops and on ids outside ``0 .. vertex_count - 1``.
+    Duplicate pairs collapse to a single edge. Raises ValueError on ids
+    outside ``0 .. vertex_count - 1`` here, and through ``Graph`` on
+    self-loops and a negative ``vertex_count``.
     """
-    if vertex_count < 0:
-        raise ValueError("vertex_count must be non-negative")
-    pairs = set()
+    rows: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        # a negative id would index rows from the end
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
-        pairs.add((u, v) if u < v else (v, u))
-    rows: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in sorted(pairs):
         rows[u].append(v)
         rows[v].append(u)
-    return Graph(vertex_count, tuple(tuple(sorted(row)) for row in rows))
+    return Graph(vertex_count, tuple(tuple(sorted(set(row))) for row in rows))
 
 
 def expand_edges(g: Graph) -> Graph:

@@ -94,21 +94,6 @@ def violation_witness(g: Graph, initial: Coloring) -> CounterexampleWitness | No
     return None
 
 
-def replay_witness(w: CounterexampleWitness) -> bool:
-    """Re-run the engine and confirm the recorded merge happens as stated."""
-    trace = refine_to_fixpoint(w.graph, w.initial)
-    if w.step + 1 >= len(trace.colorings):
-        return False
-    prev, nxt = trace.colorings[w.step], trace.colorings[w.step + 1]
-    u, v = w.merged_pair
-    return (
-        nxt.colors[u] == nxt.colors[v]
-        and prev.colors[u] != prev.colors[v]
-        and prev.palette_size == w.palette_before
-        and nxt.palette_size == w.palette_after
-    )
-
-
 def _is_connected(g: Graph) -> bool:
     n = g.vertex_count
     if n <= 1:

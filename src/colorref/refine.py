@@ -152,7 +152,13 @@ def refine_to_fixpoint(
 
 
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
-    """First vertex pair sharing a color but differing in portrait, if any."""
+    """First vertex pair sharing a color but differing in portrait, if any.
+
+    None means ``c`` is equitable. Every stable point of the process is
+    equitable. The converse needs distinct classes to carry distinct
+    portraits as well: two singleton classes with equal portraits are
+    equitable yet still merge under ``refine_step``.
+    """
     _check_sizes(g, c)
     rep: dict[int, tuple[int, tuple[int, ...]]] = {}
     for v, p in enumerate(_portraits(g, c)):
@@ -162,14 +168,3 @@ def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
         elif rep[col][1] != p:
             return (rep[col][0], v)
     return None
-
-
-def verify_equitable(g: Graph, c: Coloring) -> bool:
-    """True iff same-colored vertices always have identical portraits.
-
-    Every stable point of the process is equitable. The converse needs
-    distinct classes to carry distinct portraits as well: two singleton
-    classes with equal portraits are equitable yet still merge under
-    ``refine_step``.
-    """
-    return find_inequitable_pair(g, c) is None

@@ -34,10 +34,8 @@ PUBLIC_NAMES = [
     "random_graph",
     "refine_step",
     "refine_to_fixpoint",
-    "replay_witness",
     "search_refinement_counterexample",
     "trace_document",
-    "verify_equitable",
     "violation_witness",
     "zero_coloring",
 ]

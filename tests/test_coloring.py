@@ -18,6 +18,9 @@ def test_coloring_validates_compactness():
         Coloring((0, 2), 3)
     with pytest.raises(ValueError, match="outside"):
         Coloring((0, 5), 2)
+    # rejected before a palette of that size is allocated
+    with pytest.raises(ValueError, match="compact"):
+        Coloring((0,), 10**19)
     assert Coloring((), 0).palette_size == 0
 
 

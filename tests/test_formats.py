@@ -253,23 +253,41 @@ def test_good_trace_parses():
          "line 7: coloring has 2 entries, not n = 3"),
         # a palette that is not compact, or not the declared size
         ("palette_sizes 1 2 2", "palette_sizes 1 2 3",
-         r"line 7: coloring does not use exactly the 3 colors 0..2"),
+         "line 7: palette is not compact: color 2 unused"),
         ("coloring 0 1 0\nconverged", "coloring 0 2 0\nconverged",
-         r"line 7: coloring does not use exactly the 2 colors 0..1"),
+         r"line 7: color 2 of vertex 1 outside palette 0..1"),
         ("initial 0 0 0\npalette_sizes 1", "initial 0 0 0\npalette_sizes 5",
-         r"line 5: coloring does not use exactly the 5 colors 0..4"),
-        # classes that do not partition 0..n-1
-        ("class 0 2\n", "class 0 0\n", "line 9: vertex 0 is outside 0..2 or in two"),
-        ("class 1\n", "class 1 7\n", "line 10: vertex 7 is outside 0..2 or in two"),
-        ("class 0 2\n", "class 0\n", "vertex 2 is in no class"),
-        ("class 1\n", "class\n", "line 10: empty class"),
+         "line 5: palette is not compact: 5 colors for 3 vertices"),
+        # rejected before a palette of that size is allocated
+        ("palette_sizes 1 2 2", "palette_sizes 1 2 99999999999999999999",
+         "line 7: palette is not compact: 99999999999999999999 colors for 3 vertices"),
+        # classes that are not the final coloring's partition
+        ("class 0 2\n", "class 0 0\n", "line 9: classes are not the final"),
+        ("class 1\n", "class 1 7\n", "line 10: classes are not the final"),
+        ("class 0 2\n", "class 0\n", "line 9: classes are not the final"),
+        ("class 1\n", "class\n", "line 10: classes are not the final"),
+        ("class 1\n", "", "^classes are not the final"),  # no line: the record is absent
+        # a partition of 0..2, but not the one of the final coloring 0 1 0
+        ("class 0 2\nclass 1\n", "class 0 1\nclass 2\n", "line 9: classes are not the final"),
         # converged_at outside 1..len(colorings)-1
         ("converged_at 2", "converged_at 0", r"line 8: converged_at must lie in 1..2"),
         ("converged_at 2", "converged_at 3", r"line 8: converged_at must lie in 1..2"),
+        # a record repeated, or a negative count
+        ("n 3\n", "n 3\nn 3\n", "line 2: duplicate n record"),
+        ("m 2\n", "m 2\nm -7\n", "line 3: duplicate m record"),
+        ("m 2\n", "m -7\n", "line 2: m must be non-negative"),
+        ("initial 0 0 0\n", "initial 0 0 0\ninitial 0 0 0\n", "line 4: duplicate initial record"),
+        ("palette_sizes 1 2 2\n", "palette_sizes 1 2 2\npalette_sizes 1 2 2\n",
+         "line 5: duplicate palette_sizes record"),
+        ("converged_at 2\n", "converged_at 2\nconverged_at 2\n",
+         "line 9: duplicate converged_at record"),
     ],
     ids=["n-too-large", "short-coloring", "palette-size-differs", "palette-gap",
-         "initial-palette", "class-repeats", "class-out-of-range", "class-missing",
-         "class-empty", "converged-at-zero", "converged-at-past-end"],
+         "initial-palette", "palette-oversize", "class-repeats", "class-out-of-range",
+         "class-missing", "class-empty", "class-absent", "class-not-final-partition",
+         "converged-at-zero", "converged-at-past-end", "n-repeated", "m-repeated",
+         "m-negative", "initial-repeated", "palette-sizes-repeated",
+         "converged-at-repeated"],
 )
 def test_parse_trace_rejects_inconsistent_records(old, new, message):
     assert old in GOOD_TRACE

@@ -41,6 +41,13 @@ def test_rejects_out_of_range_ids():
         new_graph(3, [(-1, 0)])
 
 
+def test_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+        new_graph(-1, [])
+    with pytest.raises(ValueError):
+        new_graph(-1, [(0, 1)])
+
+
 def test_graph_validation_catches_bad_adjacency():
     with pytest.raises(ValueError, match="reverse"):
         Graph(2, ((1,), ()))

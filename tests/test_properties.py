@@ -16,7 +16,6 @@ from colorref import (
     refine_step,
     refine_to_fixpoint,
     trace_document,
-    verify_equitable,
     zero_coloring,
 )
 from conftest import brute_portrait
@@ -171,7 +170,7 @@ def test_zero_start_contract(g):
         if trace.palette_sizes[t] == trace.palette_sizes[t + 1]:
             assert colorings_isomorphic(trace.colorings[t], trace.colorings[t + 1])
     # the stable point is equitable and agrees with the brute-force route
-    assert verify_equitable(g, trace.final)
+    assert find_inequitable_pair(g, trace.final) is None
     assert partition_of(trace.final) == naive_refine(g, zero_coloring(g))
 
 
@@ -243,4 +242,4 @@ def test_one_step_convergence_agrees_with_step_isomorphism(gc):
     # stability implies equitability; the converse can fail when distinct
     # classes share a portrait, so only this direction is asserted
     if one_step:
-        assert verify_equitable(g, c)
+        assert find_inequitable_pair(g, c) is None

@@ -10,7 +10,6 @@ from colorref import (
     partition_of,
     refine_step,
     refine_to_fixpoint,
-    verify_equitable,
     zero_coloring,
 )
 from colorref.cli import main
@@ -224,13 +223,12 @@ def test_oscillating_start_never_converges(tmp_path, capsys):
     assert capsys.readouterr().out == "n=4 m=2 K_final=2 converged_at=none\n"
 
 
-def test_verify_equitable_examples():
-    assert verify_equitable(cycle_graph(6), zero_coloring(cycle_graph(6)))
+def test_find_inequitable_pair_examples():
+    assert find_inequitable_pair(cycle_graph(6), zero_coloring(cycle_graph(6))) is None
     g3 = path_graph(3)
-    assert not verify_equitable(g3, zero_coloring(g3))
     assert find_inequitable_pair(g3, zero_coloring(g3)) == (0, 1)
     g5 = path_graph(5)
-    assert verify_equitable(g5, coloring_from_labels([0, 1, 2, 1, 0]))
+    assert find_inequitable_pair(g5, coloring_from_labels([0, 1, 2, 1, 0])) is None
 
 
 def test_equitable_fixpoint_converges_in_one_step():
@@ -245,10 +243,10 @@ def test_equitable_coloring_can_still_merge():
     # distinct classes with equal portraits are equitable yet not stable
     g = new_graph(2, [])
     c = coloring_from_labels([0, 1])
-    assert verify_equitable(g, c)
+    assert find_inequitable_pair(g, c) is None
     assert refine_to_fixpoint(g, c).converged_at == 2
 
     p3 = path_graph(3)
     discrete = coloring_from_labels([0, 1, 2])
-    assert verify_equitable(p3, discrete)
+    assert find_inequitable_pair(p3, discrete) is None
     assert refine_to_fixpoint(p3, discrete).converged_at != 1
