@@ -15,7 +15,9 @@ class Coloring:
     """Colors ``0 .. palette_size - 1`` assigned to vertices ``0 .. n - 1``.
 
     The palette is compact: every color in range is worn by at least one
-    vertex. A coloring of zero vertices has palette_size 0.
+    vertex. A coloring of zero vertices has palette_size 0. ``Coloring(...)``
+    checks this; the library's own rankings (``coloring_from_labels`` and
+    ``refine_step``) are compact by construction and skip the check.
     """
 
     colors: tuple[int, ...]
@@ -35,6 +37,14 @@ class Coloring:
         if not all(used):
             raise ValueError(f"palette is not compact: color {used.index(False)} unused")
 
+    @classmethod
+    def _unchecked(cls, colors: tuple[int, ...], palette_size: int) -> Coloring:
+        # For colors the caller built compact by construction: skips __post_init__.
+        c = object.__new__(cls)
+        object.__setattr__(c, "colors", colors)
+        object.__setattr__(c, "palette_size", palette_size)
+        return c
+
     def __len__(self) -> int:
         return len(self.colors)
 
@@ -47,7 +57,7 @@ def coloring_from_labels(labels) -> Coloring:
     """
     labels = list(labels)
     rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-    return Coloring(tuple(rank[lab] for lab in labels), len(rank))
+    return Coloring._unchecked(tuple(rank[lab] for lab in labels), len(rank))
 
 
 @dataclass(frozen=True)

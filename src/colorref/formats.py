@@ -46,22 +46,36 @@ class ParseError(ValueError):
 
 def _content_lines(text: str, comment: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        yield lineno, line.split()
+        parts = raw.split()
+        if parts and not parts[0].startswith(comment):
+            yield lineno, parts
 
 
-def _int_field(token: str, what: str, lineno: int) -> int:
+def _strict_int(token: str) -> int:
     # Only [+-]?[0-9]+: int() alone would also take "1_0" and non-ASCII
     # digits such as "\u0661".
     digits = token[1:] if token[0] in "+-" else token
     if digits.isascii() and digits.isdigit():
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() will convert
-            pass
-    raise ParseError(f"{what} {token!r} is not an integer", lineno)
+        return int(token)  # ValueError for more digits than int() will convert
+    raise ValueError(token)
+
+
+def _int_reader(text: str):
+    """The token converter for ``text``: ``int`` itself where it is exact.
+
+    On a whitespace-free token int() accepts more than [+-]?[0-9]+ only
+    through "_" separators and non-ASCII digits, so for ASCII text without
+    "_" it is exact. Callers convert with it and on ValueError convert
+    again with ``_int_field``, which raises the ParseError.
+    """
+    return int if text.isascii() and "_" not in text else _strict_int
+
+
+def _int_field(token: str, what: str, lineno: int) -> int:
+    try:
+        return _strict_int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -69,6 +83,7 @@ def parse_edge_list(text: str) -> Graph:
     declared: int | None = None
     edges: list[tuple[int, int, int]] = []
     max_id = -1
+    to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "#"):
         if parts[0] == "n":
             if declared is not None:
@@ -81,8 +96,11 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {' '.join(parts)!r}", lineno)
-        u = _int_field(parts[0], "vertex id", lineno)
-        v = _int_field(parts[1], "vertex id", lineno)
+        try:
+            u, v = to_int(parts[0]), to_int(parts[1])
+        except ValueError:
+            u = _int_field(parts[0], "vertex id", lineno)
+            v = _int_field(parts[1], "vertex id", lineno)
         if u < 0 or v < 0:
             raise ParseError("vertex ids must be non-negative", lineno)
         if u == v:
@@ -102,6 +120,7 @@ def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
+    to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "c"):
         if parts[0] == "p":
             if n is not None:
@@ -117,8 +136,11 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("edge line precedes the problem line", lineno)
             if len(parts) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
-            u = _int_field(parts[1], "vertex id", lineno)
-            v = _int_field(parts[2], "vertex id", lineno)
+            try:
+                u, v = to_int(parts[1]), to_int(parts[2])
+            except ValueError:
+                u = _int_field(parts[1], "vertex id", lineno)
+                v = _int_field(parts[2], "vertex id", lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex id outside 1..{n}", lineno)
             if u == v:
@@ -138,11 +160,15 @@ def parse_coloring(text: str, vertex_count: int | None = None) -> Coloring:
     assignments, which must then cover exactly 0..n-1.
     """
     assignments: dict[int, int] = {}
+    to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "#"):
         if len(parts) != 2:
             raise ParseError(f"expected 'v c', got {' '.join(parts)!r}", lineno)
-        v = _int_field(parts[0], "vertex id", lineno)
-        label = _int_field(parts[1], "color", lineno)
+        try:
+            v, label = to_int(parts[0]), to_int(parts[1])
+        except ValueError:
+            v = _int_field(parts[0], "vertex id", lineno)
+            label = _int_field(parts[1], "color", lineno)
         if v < 0:
             raise ParseError("vertex ids must be non-negative", lineno)
         if vertex_count is not None and v >= vertex_count:
@@ -244,7 +270,8 @@ def emit_trace_document(doc: TraceDocument) -> str:
         lines.append(" ".join(["class", *map(str, cls)]))
     for u, v, col in doc.edge_colors:
         lines.append(f"edge_color {u} {v} {col}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_trace(text: str) -> TraceDocument:

@@ -11,8 +11,10 @@ class Graph:
     """A simple undirected graph on vertices ``0 .. vertex_count - 1``.
 
     ``adjacency[v]`` is the strictly increasing tuple of neighbours of ``v``.
-    Instances are validated on construction and never mutated afterwards,
-    so they are safe to share between concurrent readers.
+    ``Graph(...)`` checks all of this: range, order, self-loops and that
+    every edge is listed from both ends. ``new_graph`` and ``expand_edges``
+    build their rows correct by construction and skip that check. Instances
+    are never mutated, so they are safe to share between concurrent readers.
     """
 
     vertex_count: int
@@ -43,6 +45,14 @@ class Graph:
                 u = min(set(row).symmetric_difference(back[v]))
                 raise ValueError(f"edge {{{u}, {v}}} is missing its reverse entry")
 
+    @classmethod
+    def _unchecked(cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+        # For rows the caller built valid by construction: skips __post_init__.
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
+
     @property
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency) // 2
@@ -58,20 +68,29 @@ class Graph:
 
 
 def new_graph(vertex_count: int, edges) -> Graph:
-    """Build a validated graph from unordered id pairs.
+    """Build a graph from unordered id pairs.
 
-    Duplicate pairs collapse to a single edge. Raises ValueError on ids
-    outside ``0 .. vertex_count - 1`` here, and through ``Graph`` on
-    self-loops and a negative ``vertex_count``.
+    Duplicate pairs collapse to a single edge. Raises ValueError on the
+    first id outside ``0 .. vertex_count - 1``, else on a negative
+    ``vertex_count``, else on the self-loop at the smallest vertex. Those
+    are the only checks: the rows it builds are sorted, duplicate-free and
+    symmetric by construction, so ``Graph``'s own check is skipped.
     """
     rows: list[list[int]] = [[] for _ in range(vertex_count)]
+    loops: list[int] = []
     for u, v in edges:
         # a negative id would index rows from the end
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
+        if u == v:
+            loops.append(u)
         rows[u].append(v)
         rows[v].append(u)
-    return Graph(vertex_count, tuple(tuple(sorted(set(row))) for row in rows))
+    if vertex_count < 0:
+        raise ValueError("vertex_count must be non-negative")
+    if loops:
+        raise ValueError(f"self-loop at vertex {min(loops)}")
+    return Graph._unchecked(vertex_count, tuple(tuple(sorted(set(row))) for row in rows))
 
 
 def expand_edges(g: Graph) -> Graph:
@@ -90,7 +109,7 @@ def expand_edges(g: Graph) -> Graph:
     for w, (u, v) in enumerate(edge_list, start=n):
         rows[u].append(w)
         rows[v].append(w)
-    return Graph(n + len(edge_list), tuple(map(tuple, rows)) + tuple(edge_list))
+    return Graph._unchecked(n + len(edge_list), tuple(map(tuple, rows)) + tuple(edge_list))
 
 
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:

@@ -72,7 +72,8 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
 def _rank(keys, descending: bool) -> Coloring:
     keys = list(keys)
     rank = {p: i for i, p in enumerate(sorted(set(keys), reverse=descending))}
-    return Coloring(tuple(map(rank.__getitem__, keys)), len(rank))
+    # ranks of the distinct keys: compact by construction
+    return Coloring._unchecked(tuple(map(rank.__getitem__, keys)), len(rank))
 
 
 def index_portraits(portraits) -> Coloring:

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import colorref
 
@@ -67,3 +71,20 @@ def test_library_modules_define_no_unexported_public_names():
             and getattr(obj, "__module__", None) == module.__name__
         }
         assert defined <= exported, (short, sorted(defined - exported))
+
+
+def test_cli_imports_only_the_standard_library():
+    # Compared against the modules already loaded at start-up, since site
+    # hooks may import third-party packages before any user code runs.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import colorref.cli\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(tops - set(sys.stdlib_module_names) - {'colorref'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(colorref.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "\n"

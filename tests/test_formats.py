@@ -329,3 +329,71 @@ def test_parsers_accept_only_ascii_decimal_tokens(case, token, tmp_path, capsys)
     assert main([arg.format(path) for arg in command]) == 2
     err = capsys.readouterr().err
     assert f"{path}: line 2:" in err
+
+
+
+# Exact messages, recorded before the parsers converted with int() alone on
+# ASCII text without "_", and before new_graph took its checks over from
+# Graph. Several cases break two rules at once and pin which check wins;
+# "\u2003" (em space) separates fields like a space.
+P31 = "p edge 3 1\n"
+MESSAGE_CASES = [
+    # a range error wins over a self-loop listed before it
+    (new_graph, (3, [(1, 1), (0, 7)]), ValueError, "edge (0, 7) outside 0..2"),
+    # the smallest looped vertex is named, not the first one listed
+    (new_graph, (3, [(2, 2), (1, 1)]), ValueError, "self-loop at vertex 1"),
+    (new_graph, (-1, []), ValueError, "vertex_count must be non-negative"),
+    (new_graph, (-1, [(0, 1)]), ValueError, "edge (0, 1) outside 0..-2"),
+    (parse_edge_list, ("- 1\n",), ParseError, "line 1: vertex id '-' is not an integer"),
+    (parse_edge_list, ("0 1\n0 -\n",), ParseError, "line 2: vertex id '-' is not an integer"),
+    (parse_edge_list, ("# a_b\n0 -\n",), ParseError, "line 2: vertex id '-' is not an integer"),
+    (parse_edge_list, ("n 3\n1 1\n0 7\n",), ParseError, "line 2: self-loop 1 1"),
+    (parse_edge_list, ("n 3\n0 7\n1 1\n",), ParseError, "line 3: self-loop 1 1"),
+    (parse_edge_list, ("0\u20031\u20032\n",), ParseError, "line 1: expected 'u v', got '0 1 2'"),
+    (parse_dimacs, (P31 + "e 1 2 3\n",), ParseError, "line 2: edge line must be 'e <u> <v>'"),
+    (parse_dimacs, (P31 + "e 1\u20032\u20033\n",), ParseError,
+     "line 2: edge line must be 'e <u> <v>'"),
+    (parse_dimacs, ("e 1 2\n" + P31,), ParseError, "line 1: edge line precedes the problem line"),
+    (parse_dimacs, (P31 + "e - 2\n",), ParseError, "line 2: vertex id '-' is not an integer"),
+    (parse_dimacs, (P31 + "e 1 -\n",), ParseError, "line 2: vertex id '-' is not an integer"),
+    (parse_dimacs, (P31 + "e +1 -0\n",), ParseError, "line 2: vertex id outside 1..3"),
+    (parse_dimacs, (P31 + "e 007 2\n",), ParseError, "line 2: vertex id outside 1..3"),
+    (parse_dimacs, ("c a_b\n" + P31 + "e 1 1\n",), ParseError, "line 3: self-loop 1 1"),
+    (parse_coloring, ("0 007\n1 -\n",), ParseError, "line 2: color '-' is not an integer"),
+    # the vertex id is converted, and reported, before the color
+    (parse_coloring, ("- -\n",), ParseError, "line 1: vertex id '-' is not an integer"),
+    (parse_coloring, ("# x_y\n0 1\n2 -\n",), ParseError, "line 3: color '-' is not an integer"),
+    (parse_coloring, ("0\u20031\u20032\n",), ParseError, "line 1: expected 'v c', got '0 1 2'"),
+    (parse_coloring, ("+0 007\n-0 1\n",), ParseError, "line 2: duplicate assignment for vertex 0"),
+    (parse_coloring, ("-0 +3\n-1 5\n",), ParseError, "line 2: vertex ids must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", MESSAGE_CASES)
+def test_exact_messages_and_precedence(fn, args, error, message):
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# Signed and zero-padded fields, an em-space separator and a "_" that sits
+# only in a comment all read as plain decimal integers.
+@pytest.mark.parametrize(
+    "fn, text, want",
+    [
+        (parse_edge_list, "+3 1\n", new_graph(4, [(3, 1)])),
+        (parse_edge_list, "-0 1\n", new_graph(2, [(0, 1)])),
+        (parse_edge_list, "007 1\n", new_graph(8, [(7, 1)])),
+        (parse_edge_list, "1\u20032\n", new_graph(3, [(1, 2)])),
+        (parse_edge_list, "# a_b\n0 1\n", new_graph(2, [(0, 1)])),
+        (parse_dimacs, "p edge +3 1\ne +1 003\n", new_graph(3, [(0, 2)])),
+        (parse_dimacs, "p edge 3 1\ne 1\u20032\n", new_graph(3, [(0, 1)])),
+        (parse_dimacs, "c a_b\np edge 3 1\ne 1 2\n", new_graph(3, [(0, 1)])),
+        (parse_coloring, "0 +3\n1 -0\n", coloring_from_labels([3, 0])),
+        (parse_coloring, "0\u20031\n", coloring_from_labels([1])),
+        (parse_coloring, "# x_y\n0 1\n", coloring_from_labels([1])),
+    ],
+)
+def test_accepted_integer_spellings(fn, text, want):
+    assert fn(text) == want

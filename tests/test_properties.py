@@ -1,7 +1,12 @@
+import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from colorref import (
+    Coloring,
+    Graph,
+    ParseError,
+    TraceDocument,
     coloring_from_labels,
     colorings_isomorphic,
     emit_trace_document,
@@ -11,8 +16,12 @@ from colorref import (
     is_refinement,
     naive_refine,
     new_graph,
+    parse_coloring,
+    parse_dimacs,
+    parse_edge_list,
     parse_trace,
     partition_of,
+    random_graph,
     refine_step,
     refine_to_fixpoint,
     trace_document,
@@ -67,6 +76,40 @@ def test_expansion_invariants(g):
     assert list(e.adjacency[n:]) == g.edges()
     for v in range(n):
         assert all(w >= n for w in e.adjacency[v])
+
+
+@st.composite
+def raw_edge_lists(draw, max_n=10):
+    # pairs as a caller may pass them: repeated, in both orientations, and
+    # leaving some vertices isolated
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    ids = st.integers(0, n - 1)
+    pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+    return n, draw(st.lists(pairs, max_size=2 * n))
+
+
+# new_graph and expand_edges skip Graph's checks because they build valid
+# rows by construction; the public constructor must agree.
+@given(raw_edge_lists(), st.floats(0, 1), st.integers(0, 2**32))
+def test_library_built_graphs_pass_the_public_checks(n_pairs, p, seed):
+    n, pairs = n_pairs
+    g = new_graph(n, pairs)
+    for built in (g, expand_edges(g), random_graph(n, p, seed)):
+        assert Graph(built.vertex_count, built.adjacency) == built
+
+
+# refine_step (through _rank), coloring_from_labels and parse_coloring skip
+# Coloring's compactness check; the public constructor must agree.
+@given(graphs_with_colorings(), st.lists(st.integers(-10**6, 10**6), max_size=12))
+@settings(deadline=None)
+def test_library_built_colorings_pass_the_public_checks(gc, labels):
+    g, c = gc
+    text = "".join(f"{v} {lab}\n" for v, lab in reversed(list(enumerate(labels))))
+    runs = refine_to_fixpoint(g, c).colorings
+    for col in (*runs, coloring_from_labels(labels), parse_coloring(text)):
+        assert Coloring(col.colors, col.palette_size) == col
 
 
 @given(graphs_with_colorings())
@@ -243,3 +286,57 @@ def test_one_step_convergence_agrees_with_step_isomorphism(gc):
     # classes share a portrait, so only this direction is asserted
     if one_step:
         assert find_inequitable_pair(g, c) is None
+
+
+# Parser fuzzing: lines of a record key and up to four tokens, either all
+# small integers or each a small integer, a key, or a short run of digits,
+# signs, "_" and "\u0661" (Arabic-Indic digit one). No token holds more
+# than three digits, so no input can declare a large vertex count.
+def fuzz_texts(keys):
+    junk = st.text("0123456789+-_\u0661", min_size=1, max_size=4).filter(
+        lambda t: sum(ch.isdigit() for ch in t) <= 3
+    )
+    number = st.integers(-2, 12).map(str)
+    token = st.one_of(number, st.sampled_from(keys), junk)
+    fields = st.one_of(st.lists(number, max_size=4), st.lists(token, max_size=4))
+    line = st.tuples(st.sampled_from(keys), fields)
+    return st.lists(line.map(lambda kt: " ".join([kt[0], *kt[1]])), max_size=8).map("\n".join)
+
+
+TRACE_KEYS = ["n", "m", "initial", "palette_sizes", "coloring", "converged_at",
+              "none", "class", "edge_color"]
+# parser, the comment mark of its format, and the keys its lines start with
+FUZZ_PARSERS = {
+    "edge_list": (parse_edge_list, "#", ["", "n", "#"]),
+    "dimacs": (parse_dimacs, "c", ["p edge", "e", "c"]),
+    "coloring": (parse_coloring, "#", ["", "#"]),
+    "coloring_n4": (lambda text: parse_coloring(text, 4), "#", ["", "#"]),
+    "trace": (parse_trace, "#", ["#", *TRACE_KEYS]),
+}
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_PARSERS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
+    parse, comment, keys = FUZZ_PARSERS[name]
+    text = data.draw(fuzz_texts(keys), label="text")
+    got = _parse_outcome(parse, text)
+    if isinstance(got, Graph):
+        assert Graph(got.vertex_count, got.adjacency) == got
+    elif isinstance(got, Coloring):
+        assert Coloring(got.colors, got.palette_size) == got
+    elif isinstance(got, TraceDocument):
+        assert parse_trace(emit_trace_document(got)) == got
+    else:
+        assert got.startswith("ParseError: ")
+    # a "_" anywhere sends every token through the strict check, which
+    # must read the text as int() did
+    assert _parse_outcome(parse, f"{text}\n{comment} _\n") == got
