@@ -44,10 +44,8 @@ from .oracle import (
     violation_witness,
 )
 from .refine import (
-    Portrait,
     RefinementTrace,
     find_inequitable_pair,
-    index_portraits,
     refine_step,
     refine_to_fixpoint,
     zero_coloring,
@@ -62,7 +60,6 @@ __all__ = [
     "Graph",
     "ParseError",
     "Partition",
-    "Portrait",
     "RefinementTrace",
     "TraceDocument",
     "coloring_from_labels",
@@ -73,7 +70,6 @@ __all__ = [
     "emit_trace_document",
     "expand_edges",
     "find_inequitable_pair",
-    "index_portraits",
     "is_refinement",
     "naive_refine",
     "new_graph",

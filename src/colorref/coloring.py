@@ -16,8 +16,9 @@ class Coloring:
 
     The palette is compact: every color in range is worn by at least one
     vertex. A coloring of zero vertices has palette_size 0. ``Coloring(...)``
-    checks this; the library's own rankings (``coloring_from_labels`` and
-    ``refine_step``) are compact by construction and skip the check.
+    checks this; the library's own builders (``coloring_from_labels``,
+    ``refine_step`` and ``zero_coloring``) are compact by construction and
+    skip the check.
     """
 
     colors: tuple[int, ...]
@@ -44,9 +45,6 @@ class Coloring:
         object.__setattr__(c, "colors", colors)
         object.__setattr__(c, "palette_size", palette_size)
         return c
-
-    def __len__(self) -> int:
-        return len(self.colors)
 
 
 def coloring_from_labels(labels) -> Coloring:

@@ -9,12 +9,12 @@ step can merge classes, and the partition can cycle without ever settling.
 
 The engine never builds the dense count vector. It keys each vertex by the
 sorted multiset of its neighbours' colors followed by the sentinel
-``palette_size`` and ranks the distinct keys in descending order, which
-gives exactly the colors that ascending lexicographic rank of the dense
-vectors (``index_portraits``) gives; ``_portraits`` holds the proof. So a
-step builds its portraits in O(n + m log Δ) for n vertices, m edges and
-maximum degree Δ, whatever the palette size, and then sorts the distinct
-ones to rank them.
+``palette_size`` and ranks the distinct keys largest first, which gives
+exactly the colors that ascending lexicographic rank of the dense vectors
+gives; ``_portraits`` holds the proof, and the dense reference that the
+tests hold it to lives in ``tests/conftest.py``. So a step builds its
+portraits in O(n + m log Δ) for n vertices, m edges and maximum degree Δ,
+whatever the palette size, and then sorts the distinct ones to rank them.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ from dataclasses import dataclass
 from .coloring import Coloring, colorings_isomorphic
 from .graph import Graph
 
-# A portrait is the count vector of a vertex's neighbours per color,
-# indexed by color id; its length equals the palette size in force. The
-# engine works on its sparse key instead (see ``_portraits``).
-Portrait = tuple[int, ...]
-
 
 def _check_sizes(g: Graph, c: Coloring) -> None:
     if len(c.colors) != g.vertex_count:
@@ -39,7 +34,8 @@ def _check_sizes(g: Graph, c: Coloring) -> None:
 def zero_coloring(g: Graph) -> Coloring:
     """The all-equal start: every vertex gets color 0 (empty palette for n = 0)."""
     n = g.vertex_count
-    return Coloring((0,) * n, 1 if n else 0)
+    # color 0 worn by every vertex, or no colors at all: compact by construction
+    return Coloring._unchecked((0,) * n, 1 if n else 0)
 
 
 def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
@@ -54,12 +50,13 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
     first difference is at index i, with a[i] > b[i]. Their keys agree on
     every color below i and on the first b[i] copies of color i. At the
     next position a holds i, while b holds a color greater than i or the
-    sentinel. So key(a) < key(b): ascending dense order is descending key
+    sentinel. So key(a) < key(b): ascending dense order is reverse key
     order, and equal keys mean equal vectors.
 
-    This is the only place a portrait is built. It stays lazy so that
-    ``find_inequitable_pair`` stops at the first mismatch and holds only
-    one key per class.
+    This is the only place a portrait is built; the dense vectors exist
+    only in the test reference in ``tests/conftest.py``. It stays lazy so
+    that ``find_inequitable_pair`` stops at the first mismatch and holds
+    only one key per class.
     """
     k = c.palette_size
     at = c.colors.__getitem__
@@ -69,34 +66,13 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
         yield tuple(key)
 
 
-def _rank(keys, descending: bool) -> Coloring:
-    keys = list(keys)
-    rank = {p: i for i, p in enumerate(sorted(set(keys), reverse=descending))}
+def refine_step(g: Graph, c: Coloring) -> Coloring:
+    """One simultaneous recoloring: portrait keys under ``c``, ranked largest first."""
+    _check_sizes(g, c)
+    keys = list(_portraits(g, c))
+    rank = {p: i for i, p in enumerate(sorted(set(keys), reverse=True))}
     # ranks of the distinct keys: compact by construction
     return Coloring._unchecked(tuple(map(rank.__getitem__, keys)), len(rank))
-
-
-def index_portraits(portraits) -> Coloring:
-    """Assign each distinct portrait its lexicographic rank as the new color.
-
-    Any bijection from portraits to fresh color ids would do; fixing the
-    lexicographic one makes runs reproducible. All portraits must have the
-    same length (they were computed against one palette). This is the
-    dense reference: ``refine_step`` gives the colors this function gives
-    to the portraits' count vectors, without building them.
-    """
-    portraits = list(portraits)
-    if portraits:
-        width = len(portraits[0])
-        if any(len(p) != width for p in portraits):
-            raise ValueError("portraits of mixed lengths cannot be indexed together")
-    return _rank(portraits, descending=False)
-
-
-def refine_step(g: Graph, c: Coloring) -> Coloring:
-    """One simultaneous recoloring: portrait keys under ``c``, ranked descending."""
-    _check_sizes(g, c)
-    return _rank(_portraits(g, c), descending=True)
 
 
 @dataclass(frozen=True)
@@ -106,12 +82,15 @@ class RefinementTrace:
     ``colorings[t]`` is the coloring after ``t`` steps (index 0 is the
     start). ``converged_at`` is the first ``t >= 1`` with ``colorings[t-1]``
     isomorphic to ``colorings[t]``, or None if the iteration cap was hit
-    first.
+    first. ``palette_sizes`` is derived from ``colorings``, not stored.
     """
 
     colorings: tuple[Coloring, ...]
-    palette_sizes: tuple[int, ...]
     converged_at: int | None
+
+    @property
+    def palette_sizes(self) -> tuple[int, ...]:
+        return tuple(c.palette_size for c in self.colorings)
 
     @property
     def final(self) -> Coloring:
@@ -145,11 +124,7 @@ def refine_to_fixpoint(
         if colorings_isomorphic(prev, nxt) is not None:
             converged_at = t
             break
-    return RefinementTrace(
-        tuple(colorings),
-        tuple(c.palette_size for c in colorings),
-        converged_at,
-    )
+    return RefinementTrace(tuple(colorings), converged_at)
 
 
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:

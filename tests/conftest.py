@@ -1,4 +1,4 @@
-from colorref import new_graph
+from colorref import Coloring, new_graph
 
 
 def path_graph(n):
@@ -23,3 +23,15 @@ def brute_portrait(g, c, v):
         sum(1 for u in range(g.vertex_count) if u in g.adjacency[v] and c.colors[u] == j)
         for j in range(c.palette_size)
     )
+
+
+def index_portraits(portraits):
+    # dense reference for refine_step: each distinct count vector gets its
+    # ascending lexicographic rank as the new color
+    portraits = list(portraits)
+    if portraits:
+        width = len(portraits[0])
+        if any(len(p) != width for p in portraits):
+            raise ValueError("portraits of mixed lengths cannot be indexed together")
+    rank = {p: i for i, p in enumerate(sorted(set(portraits)))}
+    return Coloring(tuple(rank[p] for p in portraits), len(rank))

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "Graph",
     "ParseError",
     "Partition",
-    "Portrait",
     "RefinementTrace",
     "TraceDocument",
     "coloring_from_labels",
@@ -26,7 +25,6 @@ PUBLIC_NAMES = [
     "emit_trace_document",
     "expand_edges",
     "find_inequitable_pair",
-    "index_portraits",
     "is_refinement",
     "naive_refine",
     "new_graph",

@@ -59,6 +59,15 @@ def test_refine_exit_3_when_cap_hit(tmp_path, capsys):
     assert "converged_at=none" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_refine_rejects_max_iters_below_one(tmp_path, capsys, p5, cap):
+    trace = tmp_path / "out.trace"
+    assert main(["refine", p5, "--max-iters", cap, "--trace", str(trace)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-iters" in err
+    assert not trace.exists()
+
+
 def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     c3 = write(tmp_path / "c3.edges", "0 1\n1 2\n0 2\n")
     trace = tmp_path / "c3.trace"

@@ -12,7 +12,6 @@ from colorref import (
     emit_trace_document,
     expand_edges,
     find_inequitable_pair,
-    index_portraits,
     is_refinement,
     naive_refine,
     new_graph,
@@ -27,7 +26,7 @@ from colorref import (
     trace_document,
     zero_coloring,
 )
-from conftest import brute_portrait
+from conftest import brute_portrait, index_portraits
 
 
 @st.composite
@@ -100,7 +99,7 @@ def test_library_built_graphs_pass_the_public_checks(n_pairs, p, seed):
         assert Graph(built.vertex_count, built.adjacency) == built
 
 
-# refine_step (through _rank), coloring_from_labels and parse_coloring skip
+# refine_step, zero_coloring, coloring_from_labels and parse_coloring skip
 # Coloring's compactness check; the public constructor must agree.
 @given(graphs_with_colorings(), st.lists(st.integers(-10**6, 10**6), max_size=12))
 @settings(deadline=None)
@@ -108,7 +107,7 @@ def test_library_built_colorings_pass_the_public_checks(gc, labels):
     g, c = gc
     text = "".join(f"{v} {lab}\n" for v, lab in reversed(list(enumerate(labels))))
     runs = refine_to_fixpoint(g, c).colorings
-    for col in (*runs, coloring_from_labels(labels), parse_coloring(text)):
+    for col in (*runs, zero_coloring(g), coloring_from_labels(labels), parse_coloring(text)):
         assert Coloring(col.colors, col.palette_size) == col
 
 

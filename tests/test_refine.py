@@ -4,7 +4,6 @@ from colorref import (
     coloring_from_labels,
     colorings_isomorphic,
     find_inequitable_pair,
-    index_portraits,
     naive_refine,
     new_graph,
     partition_of,
@@ -13,7 +12,14 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import brute_portrait, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import (
+    brute_portrait,
+    complete_graph,
+    cycle_graph,
+    index_portraits,
+    path_graph,
+    star_graph,
+)
 
 
 def test_zero_coloring():
