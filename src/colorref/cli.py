@@ -36,14 +36,15 @@ EXIT_NOT_CONVERGED = 3
 DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, *chunks: str) -> None:
     # Write to a sibling temp file and rename, so a failure mid-write never
-    # leaves a partial file at the destination.
+    # leaves a partial file at the destination. The chunks are written in
+    # turn rather than joined, which would copy them all once more.
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,15 +80,7 @@ def _cmd_refine(args) -> int:
     if max_iters is not None and max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
     trace = refine_to_fixpoint(target, initial, max_iters)
-
-    edge_colors = ()
-    if args.expand_edges:
-        final = trace.final
-        edge_colors = tuple(
-            (u, v, final.colors[g.vertex_count + i])
-            for i, (u, v) in enumerate(g.edges())
-        )
-    doc = trace_document(trace, target, edge_colors)
+    doc = trace_document(trace, target, g if args.expand_edges else None)
     echo = (
         f"# colorref refine input={args.graph}"
         f" coloring={args.coloring or '-'}"
@@ -95,7 +88,7 @@ def _cmd_refine(args) -> int:
         f" max_iters={max_iters if max_iters is not None else target.vertex_count + 2}\n"
     )
     trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
-    _write_atomic(trace_path, echo + emit_trace_document(doc))
+    _write_atomic(trace_path, echo, emit_trace_document(doc))
     if args.dot:
         _write_atomic(Path(args.dot), emit_dot(target, trace.final))
     converged = trace.converged_at if trace.converged_at is not None else "none"
@@ -144,28 +137,26 @@ def _cmd_search(args) -> int:
     _write_atomic(out / "graph.edges", emit_edge_list(w.graph))
     _write_atomic(out / "initial.colors", emit_coloring(w.initial))
     u, v = w.merged_pair
-    trace = refine_to_fixpoint(w.graph, w.initial)
+    k_before, k_after = w.before.palette_size, w.after.palette_size
     note = [
         f"# colorref search max_n={args.max_n} attempts={args.attempts} seed={args.seed}",
         f"vertices {w.graph.vertex_count}",
         f"edges {w.graph.edge_count}",
         f"step {w.step}",
         f"merged_pair {u} {v}",
-        f"palette {w.palette_before} -> {w.palette_after}"
+        f"palette {k_before} -> {k_after}"
         + (" (shrank)" if w.palette_shrank else ""),
         "replay: refining initial.colors over graph.edges assigns vertices"
         f" {u} and {v} one color after step {w.step + 1}"
         f" while they differ at step {w.step}.",
-        "coloring_at_step "
-        + " ".join(map(str, trace.colorings[w.step].colors)),
-        "coloring_after_step "
-        + " ".join(map(str, trace.colorings[w.step + 1].colors)),
+        "coloring_at_step " + " ".join(map(str, w.before.colors)),
+        "coloring_after_step " + " ".join(map(str, w.after.colors)),
     ]
     _write_atomic(out / "replay.txt", "\n".join(note) + "\n")
     print(
         f"witness: n={w.graph.vertex_count} m={w.graph.edge_count}"
         f" step={w.step} merged=({u},{v})"
-        f" K={w.palette_before}->{w.palette_after}; wrote {out}"
+        f" K={k_before}->{k_after}; wrote {out}"
     )
     return EXIT_OK
 

@@ -26,10 +26,10 @@ output for equal inputs.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
-from .coloring import Coloring, Partition, coloring_from_labels, partition_of
+from .coloring import Coloring, coloring_from_labels, partition_of
 from .graph import Graph, new_graph
 from .refine import RefinementTrace
 
@@ -222,51 +222,47 @@ def emit_dot(g: Graph, c: Coloring) -> str:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """Serializable summary of one refinement run.
+    """One refinement run: its trace, the edge count and the edge colors.
 
-    ``colorings[0]`` duplicates ``initial``; ``classes`` is the partition of
-    the last coloring. ``edge_colors`` is only populated for runs on
-    edge-expanded graphs and lists ``(u, v, color)`` per original edge.
+    ``edge_colors`` lists ``(u, v, color)`` per original edge of an
+    edge-expanded run and is empty otherwise.
     """
 
-    vertex_count: int
+    trace: RefinementTrace
     edge_count: int
-    initial: tuple[int, ...]
-    palette_sizes: tuple[int, ...]
-    colorings: tuple[tuple[int, ...], ...]
-    converged_at: int | None
-    classes: Partition
-    edge_colors: tuple[tuple[int, int, int], ...] = field(default=())
+    edge_colors: tuple[tuple[int, int, int], ...]
 
 
 def trace_document(
-    trace: RefinementTrace,
-    g: Graph,
-    edge_colors: tuple[tuple[int, int, int], ...] = (),
+    trace: RefinementTrace, g: Graph, original: Graph | None = None
 ) -> TraceDocument:
-    """Assemble the document for a finished run on ``g``."""
-    return TraceDocument(
-        vertex_count=g.vertex_count,
-        edge_count=g.edge_count,
-        initial=trace.colorings[0].colors,
-        palette_sizes=trace.palette_sizes,
-        colorings=tuple(c.colors for c in trace.colorings),
-        converged_at=trace.converged_at,
-        classes=partition_of(trace.final),
-        edge_colors=edge_colors,
-    )
+    """Assemble the document for a finished run on ``g``.
+
+    With ``g = expand_edges(original)`` it records the final color of each
+    original edge i, the color of virtual vertex ``original.vertex_count + i``.
+    """
+    edge_colors = ()
+    if original is not None:
+        final, base = trace.final.colors, original.vertex_count
+        if g.vertex_count != base + original.edge_count:
+            raise ValueError("g is not the edge expansion of original")
+        edge_colors = tuple(
+            (u, v, final[base + i]) for i, (u, v) in enumerate(original.edges())
+        )
+    return TraceDocument(trace, g.edge_count, edge_colors)
 
 
 def emit_trace_document(doc: TraceDocument) -> str:
     """Serialize in the canonical field order; equal documents yield equal bytes."""
-    lines = [f"n {doc.vertex_count}", f"m {doc.edge_count}"]
-    lines.append(" ".join(["initial", *map(str, doc.initial)]).rstrip())
-    lines.append(" ".join(["palette_sizes", *map(str, doc.palette_sizes)]).rstrip())
-    for coloring in doc.colorings:
-        lines.append(" ".join(["coloring", *map(str, coloring)]).rstrip())
-    marker = "none" if doc.converged_at is None else str(doc.converged_at)
+    trace = doc.trace
+    lines = [f"n {len(trace.final.colors)}", f"m {doc.edge_count}"]
+    lines.append(" ".join(["initial", *map(str, trace.colorings[0].colors)]).rstrip())
+    lines.append(" ".join(["palette_sizes", *map(str, trace.palette_sizes)]).rstrip())
+    for coloring in trace.colorings:
+        lines.append(" ".join(["coloring", *map(str, coloring.colors)]).rstrip())
+    marker = "none" if trace.converged_at is None else str(trace.converged_at)
     lines.append(f"converged_at {marker}")
-    for cls in doc.classes:
+    for cls in partition_of(trace.final):
         lines.append(" ".join(["class", *map(str, cls)]))
     for u, v, col in doc.edge_colors:
         lines.append(f"edge_color {u} {v} {col}")
@@ -281,8 +277,11 @@ def parse_trace(text: str) -> TraceDocument:
     ``palette_sizes`` and ``converged_at`` appear once each and ``n`` and
     ``m`` are non-negative; every coloring has ``n`` entries and is a
     ``Coloring`` with the palette size of its ``palette_sizes`` entry; the
-    classes are ``partition_of`` the last coloring; and a ``converged_at``
-    step lies in ``1 .. len(colorings) - 1``.
+    classes are ``partition_of`` the last coloring; a ``converged_at``
+    step lies in ``1 .. len(colorings) - 1``; and ``k`` edge_color records
+    describe an edge-expanded run: ``m = 2k``, the pairs ``u < v`` are
+    original vertices below ``n - k`` in increasing order, and the color of
+    record ``i`` is the final color of virtual vertex ``n - k + i``.
     """
     n = m = None
     initial: tuple[int, ...] | None = None
@@ -294,8 +293,9 @@ def parse_trace(text: str) -> TraceDocument:
     # line numbers of the records checked against each other at the end
     coloring_lines: list[int] = []
     class_lines: list[int] = []
-    converged_line = 0
+    converged_line = m_line = 0
     edge_colors: list[tuple[int, int, int]] = []
+    edge_lines: list[int] = []
     for lineno, parts in _content_lines(text, "#"):
         key, values = parts[0], parts[1:]
         if key in ("n", "m", "initial", "palette_sizes", "converged_at"):
@@ -318,7 +318,7 @@ def parse_trace(text: str) -> TraceDocument:
             if key == "n":
                 n = ints[0]
             else:
-                m = ints[0]
+                m, m_line = ints[0], lineno
         elif key == "initial":
             initial = tuple(ints)
         elif key == "palette_sizes":
@@ -333,6 +333,7 @@ def parse_trace(text: str) -> TraceDocument:
             if len(ints) != 3:
                 raise ParseError("edge_color needs 'u v color'", lineno)
             edge_colors.append((ints[0], ints[1], ints[2]))
+            edge_lines.append(lineno)
         else:
             raise ParseError(f"unrecognized record {key!r}", lineno)
     if n is None or m is None:
@@ -343,13 +344,15 @@ def parse_trace(text: str) -> TraceDocument:
         raise ParseError("first coloring record must repeat the initial coloring")
     if len(palette_sizes) != len(colorings):
         raise ParseError("palette_sizes must list one size per coloring")
+    checked: list[Coloring] = []
     for coloring, k, lineno in zip(colorings, palette_sizes, coloring_lines):
         if len(coloring) != n:
             raise ParseError(f"coloring has {len(coloring)} entries, not n = {n}", lineno)
         try:
-            final = Coloring(coloring, k)
+            checked.append(Coloring(coloring, k))
         except ValueError as err:
             raise ParseError(str(err), lineno) from None
+    final = checked[-1]
     for cls, want, lineno in zip_longest(classes, partition_of(final), class_lines):
         if cls != want:  # lineno is None when class records are missing at the end
             raise ParseError("classes are not the final coloring's partition", lineno)
@@ -357,13 +360,17 @@ def parse_trace(text: str) -> TraceDocument:
         raise ParseError(
             f"converged_at must lie in 1..{len(colorings) - 1}", converged_line
         )
+    k = len(edge_colors)
+    if k and m != 2 * k:
+        raise ParseError(f"m = {m} is not twice the {k} edge_color records", m_line)
+    base = n - k
+    for i, ((u, v, col), lineno) in enumerate(zip(edge_colors, edge_lines)):
+        if not 0 <= u < v < base:
+            raise ParseError(f"edge_color pair {u} {v} is not u < v below {base}", lineno)
+        if i and (u, v) <= edge_colors[i - 1][:2]:
+            raise ParseError("edge_color pairs are not in increasing order", lineno)
+        if col != final.colors[base + i]:
+            raise ParseError(f"edge_color {col} is not vertex {base + i}'s final color", lineno)
     return TraceDocument(
-        vertex_count=n,
-        edge_count=m,
-        initial=initial,
-        palette_sizes=palette_sizes,
-        colorings=tuple(colorings),
-        converged_at=converged_at,
-        classes=tuple(classes),
-        edge_colors=tuple(edge_colors),
+        RefinementTrace(tuple(checked), converged_at), m, tuple(edge_colors)
     )

@@ -1,11 +1,11 @@
 """Brute-force reference refinement and counterexample search.
 
 ``naive_refine`` re-derives the stable partition with deliberately
-different machinery than the main engine: signatures are sorted lists of
-neighbour colors rather than count vectors, new labels come from
-first-encounter numbering rather than lexicographic rank, and the stop
-test compares whole partitions. Agreement between the two routes is
-therefore evidence, not a tautology.
+different machinery than the main engine. Both key a vertex by its sorted
+neighbour colors, but the oracle appends no sentinel, numbers new labels
+by first encounter instead of ranking the keys in descending order, and
+stops when the whole partition repeats instead of testing consecutive
+colorings for isomorphism. Agreement is therefore evidence, not a tautology.
 """
 
 from __future__ import annotations
@@ -55,22 +55,22 @@ def naive_refine(g: Graph, initial: Coloring) -> Partition:
 class CounterexampleWitness:
     """A recorded step at which recoloring merged two classes.
 
-    ``merged_pair`` holds vertices with equal colors after step ``step + 1``
-    but distinct colors at step ``step``. ``palette_before``/``palette_after``
-    are the palette sizes at those two steps; the palette may shrink at such
-    a step but need not.
+    ``merged_pair`` holds vertices with equal colors in ``after``, the
+    coloring after step ``step + 1``, but distinct colors in ``before``, the
+    coloring at step ``step``. The palette may shrink at such a step but
+    need not.
     """
 
     graph: Graph
     initial: Coloring
     step: int
     merged_pair: tuple[int, int]
-    palette_before: int
-    palette_after: int
+    before: Coloring
+    after: Coloring
 
     @property
     def palette_shrank(self) -> bool:
-        return self.palette_after < self.palette_before
+        return self.after.palette_size < self.before.palette_size
 
 
 def violation_witness(g: Graph, initial: Coloring) -> CounterexampleWitness | None:
@@ -88,8 +88,8 @@ def violation_witness(g: Graph, initial: Coloring) -> CounterexampleWitness | No
                         initial=initial,
                         step=t,
                         merged_pair=(u, v),
-                        palette_before=prev.palette_size,
-                        palette_after=nxt.palette_size,
+                        before=prev,
+                        after=nxt,
                     )
     return None
 

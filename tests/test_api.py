@@ -1,10 +1,13 @@
+import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import colorref
+import colorref.cli
 
 # The whole public surface. Pinning it exactly keeps helpers that only
 # tests used from coming back, and catches a dangling export.
@@ -86,3 +89,24 @@ def test_cli_imports_only_the_standard_library():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "\n"
+
+
+def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
+    # Every other record (n, initial, palette sizes, colorings, classes) is
+    # read from the trace, so a second stored copy cannot drift from it.
+    names = tuple(f.name for f in dataclasses.fields(colorref.TraceDocument))
+    assert names == ("trace", "edge_count", "edge_colors")
+
+
+def test_benchmark_wraps_only_names_the_cli_has(monkeypatch):
+    # bench/run.py --trace 1 swaps each CLI_CALLS name on colorref.cli for a
+    # timing wrapper, so a renamed CLI import would break that run.
+    # Importing the script only defines names; its dataclasses need it
+    # registered in sys.modules while it loads.
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("colorref_bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    missing = [name for name in bench.CLI_CALLS if not hasattr(colorref.cli, name)]
+    assert bench.CLI_CALLS and missing == []

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from colorref import parse_edge_list, parse_trace
+from colorref import parse_edge_list, parse_trace, partition_of
 from colorref.cli import main
 
 
@@ -22,8 +22,8 @@ def test_refine_path5_summary(tmp_path, capsys, p5):
     assert main(["refine", p5, "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "n=5 m=4 K_final=3 converged_at=3\n"
     doc = parse_trace(trace.read_text())
-    assert doc.palette_sizes == (1, 2, 3, 3)
-    assert doc.classes == ((0, 4), (1, 3), (2,))
+    assert doc.trace.palette_sizes == (1, 2, 3, 3)
+    assert partition_of(doc.trace.final) == ((0, 4), (1, 3), (2,))
 
 
 def test_refine_complete_graph(tmp_path, capsys):
@@ -45,9 +45,9 @@ def test_refine_with_initial_coloring_records_merge(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "K_final=2" in out and "converged_at=2" in out
     doc = parse_trace(trace.read_text())
-    assert doc.colorings[0] == (0, 1, 1, 1)
-    assert doc.colorings[1] == (0, 1, 0, 1)
-    assert doc.classes == ((0, 2), (1, 3))
+    assert doc.trace.colorings[0].colors == (0, 1, 1, 1)
+    assert doc.trace.colorings[1].colors == (0, 1, 0, 1)
+    assert partition_of(doc.trace.final) == ((0, 2), (1, 3))
 
 
 def test_refine_exit_3_when_cap_hit(tmp_path, capsys):

@@ -2,16 +2,19 @@ import pytest
 
 from colorref import (
     ParseError,
+    TraceDocument,
     coloring_from_labels,
     emit_coloring,
     emit_dot,
     emit_edge_list,
     emit_trace_document,
+    expand_edges,
     new_graph,
     parse_coloring,
     parse_dimacs,
     parse_edge_list,
     parse_trace,
+    partition_of,
     random_graph,
     refine_step,
     refine_to_fixpoint,
@@ -169,9 +172,9 @@ def test_trace_document_triangle():
     g = complete_graph(3)
     t = refine_to_fixpoint(g, zero_coloring(g))
     doc = trace_document(t, g)
-    assert doc.palette_sizes == (1, 1)
-    assert doc.converged_at == 1
-    assert doc.classes == ((0, 1, 2),)
+    assert doc.trace.palette_sizes == (1, 1)
+    assert doc.trace.converged_at == 1
+    assert partition_of(doc.trace.final) == ((0, 1, 2),)
     assert emit_trace_document(doc) == (
         "n 3\n"
         "m 3\n"
@@ -188,8 +191,8 @@ def test_trace_document_empty_graph():
     g = new_graph(0, [])
     t = refine_to_fixpoint(g, zero_coloring(g))
     doc = trace_document(t, g)
-    assert doc.vertex_count == 0
-    assert doc.converged_at == 1
+    assert len(doc.trace.final.colors) == 0
+    assert doc.trace.converged_at == 1
     assert parse_trace(emit_trace_document(doc)) == doc
 
 
@@ -197,18 +200,69 @@ def test_trace_document_path5():
     g = path_graph(5)
     t = refine_to_fixpoint(g, zero_coloring(g))
     doc = trace_document(t, g)
-    assert doc.palette_sizes == (1, 2, 3, 3)
-    assert doc.converged_at == 3
-    assert doc.classes == ((0, 4), (1, 3), (2,))
+    assert doc.trace.palette_sizes == (1, 2, 3, 3)
+    assert doc.trace.converged_at == 3
+    assert partition_of(doc.trace.final) == ((0, 4), (1, 3), (2,))
+
+
+def _expanded_p4_document():
+    g = path_graph(4)
+    x = expand_edges(g)
+    t = refine_to_fixpoint(x, coloring_from_labels([0, 0, 0, 1, 0, 0, 0]), max_iters=1)
+    return trace_document(t, x, original=g)
 
 
 def test_trace_round_trip_with_extras():
-    g = path_graph(4)
-    t = refine_to_fixpoint(g, coloring_from_labels([0, 0, 0, 1]), max_iters=1)
-    doc = trace_document(t, g, edge_colors=((0, 1, 2), (1, 2, 0)))
+    doc = _expanded_p4_document()
+    assert doc.edge_colors == ((0, 1, 2), (1, 2, 2), (2, 3, 1))
     text = emit_trace_document(doc)
     assert "converged_at none" in text
     assert parse_trace(text) == doc
+
+
+def test_trace_document_rejects_an_original_it_was_not_expanded_from():
+    g = path_graph(4)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    with pytest.raises(ValueError, match="not the edge expansion"):
+        trace_document(t, g, original=g)
+
+
+# Edge colors that do not fit the run; each text parsed before these checks.
+def _made_up_edge_colors():
+    g = path_graph(4)
+    t = refine_to_fixpoint(g, coloring_from_labels([0, 0, 0, 1]), max_iters=1)
+    return emit_trace_document(TraceDocument(t, g.edge_count, ((0, 1, 2), (1, 2, 0))))
+
+
+def _expanded_p4_text(old, new):
+    text = emit_trace_document(_expanded_p4_document())
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_made_up_edge_colors(), "line 2: m = 3 is not twice the 2 edge_color records"),
+        (_expanded_p4_text("m 6", "m 5"), "line 2: m = 5 is not twice the 3 edge_color"),
+        (_expanded_p4_text("edge_color 2 3 1", "edge_color 2 3 2"),
+         "line 13: edge_color 2 is not vertex 6's final color"),
+        (_expanded_p4_text("edge_color 0 1 2\nedge_color 1 2 2",
+                           "edge_color 1 2 2\nedge_color 0 1 2"),
+         "line 12: edge_color pairs are not in increasing order"),
+        (_expanded_p4_text("edge_color 0 1 2", "edge_color 1 0 2"),
+         "line 11: edge_color pair 1 0 is not u < v below 4"),
+        (_expanded_p4_text("edge_color 0 1 2", "edge_color -1 1 2"),
+         "line 11: edge_color pair -1 1 is not u < v below 4"),
+        (_expanded_p4_text("edge_color 2 3 1", "edge_color 2 4 1"),
+         "line 13: edge_color pair 2 4 is not u < v below 4"),
+    ],
+    ids=["made-up", "m-not-twice-k", "wrong-color", "out-of-order", "reversed-pair",
+         "negative-vertex", "virtual-vertex-in-pair"],
+)
+def test_parse_trace_rejects_edge_colors_that_do_not_fit(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_trace(text)
 
 
 def test_parse_trace_ignores_comment_header():
@@ -240,7 +294,7 @@ GOOD_TRACE = (
 
 def test_good_trace_parses():
     doc = parse_trace(GOOD_TRACE)
-    assert doc.classes == ((0, 2), (1,))
+    assert partition_of(doc.trace.final) == ((0, 2), (1,))
     assert emit_trace_document(doc) == GOOD_TRACE
 
 

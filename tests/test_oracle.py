@@ -79,7 +79,7 @@ def test_violation_witness_on_four_cycle_instance():
     assert w is not None
     assert w.step == 0
     assert w.merged_pair == (0, 2)
-    assert (w.palette_before, w.palette_after) == (2, 2)
+    assert (w.before.palette_size, w.after.palette_size) == (2, 2)
     assert not w.palette_shrank
     assert violation_witness(w.graph, w.initial) == w
 

@@ -135,8 +135,13 @@ def test_portrait_counts_sum_to_degree(gc):
 @given(graphs_with_colorings())
 def test_parse_trace_round_trips_emitted_traces(gc):
     g, c = gc
+    # the edge-expanded run starts from c with color 0 on every virtual vertex
+    x = expand_edges(g)
+    x_start = coloring_from_labels(c.colors + (0,) * g.edge_count)
     for cap in (1, None):
         doc = trace_document(refine_to_fixpoint(g, c, max_iters=cap), g)
+        assert parse_trace(emit_trace_document(doc)) == doc
+        doc = trace_document(refine_to_fixpoint(x, x_start, max_iters=cap), x, g)
         assert parse_trace(emit_trace_document(doc)) == doc
 
 
