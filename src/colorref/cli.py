@@ -11,7 +11,9 @@ import argparse
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import TextIO
 
 from .coloring import colorings_isomorphic
 from .formats import (
@@ -36,15 +38,14 @@ EXIT_NOT_CONVERGED = 3
 DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 
 
-def _write_atomic(path: Path, *chunks: str) -> None:
-    # Write to a sibling temp file and rename, so a failure mid-write never
-    # leaves a partial file at the destination. The chunks are written in
-    # turn rather than joined, which would copy them all once more.
+def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
+    # ``write`` fills a sibling temp file, which is then renamed, so a
+    # failure mid-write never leaves a partial file at the destination.
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,12 +89,18 @@ def _cmd_refine(args) -> int:
         f" max_iters={max_iters if max_iters is not None else target.vertex_count + 2}\n"
     )
     trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
-    _write_atomic(trace_path, echo, emit_trace_document(doc))
+
+    def write_trace(fh: TextIO) -> None:
+        fh.write(echo)
+        emit_trace_document(doc, fh)
+
+    _write_atomic(trace_path, write_trace)
     if args.dot:
-        _write_atomic(Path(args.dot), emit_dot(target, trace.final))
+        dot = emit_dot(target, trace.final)
+        _write_atomic(Path(args.dot), lambda fh: fh.write(dot))
     converged = trace.converged_at if trace.converged_at is not None else "none"
     print(
-        f"n={target.vertex_count} m={target.edge_count}"
+        f"n={target.vertex_count} m={doc.edge_count}"
         f" K_final={trace.final.palette_size} converged_at={converged}"
     )
     return EXIT_OK if trace.converged_at is not None else EXIT_NOT_CONVERGED
@@ -134,8 +141,8 @@ def _cmd_search(args) -> int:
         )
         return EXIT_NEGATIVE
     out = Path(args.out)
-    _write_atomic(out / "graph.edges", emit_edge_list(w.graph))
-    _write_atomic(out / "initial.colors", emit_coloring(w.initial))
+    _write_atomic(out / "graph.edges", lambda fh: fh.write(emit_edge_list(w.graph)))
+    _write_atomic(out / "initial.colors", lambda fh: fh.write(emit_coloring(w.initial)))
     u, v = w.merged_pair
     k_before, k_after = w.before.palette_size, w.after.palette_size
     note = [
@@ -152,7 +159,7 @@ def _cmd_search(args) -> int:
         "coloring_at_step " + " ".join(map(str, w.before.colors)),
         "coloring_after_step " + " ".join(map(str, w.after.colors)),
     ]
-    _write_atomic(out / "replay.txt", "\n".join(note) + "\n")
+    _write_atomic(out / "replay.txt", lambda fh: fh.write("\n".join(note) + "\n"))
     print(
         f"witness: n={w.graph.vertex_count} m={w.graph.edge_count}"
         f" step={w.step} merged=({u},{v})"
@@ -165,7 +172,7 @@ def _cmd_gen(args) -> int:
     g = random_graph(args.n, args.p, args.seed)
     text = f"# colorref gen n={args.n} p={args.p} seed={args.seed}\n" + emit_edge_list(g)
     if args.out:
-        _write_atomic(Path(args.out), text)
+        _write_atomic(Path(args.out), lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -115,5 +115,6 @@ def partition_of(c: Coloring) -> Partition:
     classes: dict[int, list[int]] = {}
     for v, col in enumerate(c.colors):
         classes.setdefault(col, []).append(v)
-    return tuple(sorted((tuple(members) for members in classes.values()),
-                        key=lambda cls: cls[0]))
+    # A color enters the dict at its smallest vertex, and vertices are
+    # visited in order, so insertion order is already smallest-member order.
+    return tuple(map(tuple, classes.values()))

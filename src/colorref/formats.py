@@ -17,17 +17,21 @@ Coloring file
 Trace document
     Line-oriented ``key value...`` records in one canonical order (see
     emit_trace_document). ``#`` comments are ignored on parse, so callers
-    may prepend provenance headers without breaking round-trips.
+    may prepend provenance headers without breaking round-trips. Given a
+    text stream ``out``, emit_trace_document writes the records into it as
+    it builds them, so a trace never has to be held in memory whole.
 
-All emitters are pure functions of their inputs and produce byte-identical
-output for equal inputs.
+All emitters are pure functions of their inputs, apart from writing to
+``out``, and produce byte-identical output for equal inputs.
 """
 
 from __future__ import annotations
 
 import colorsys
+import io
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import TextIO
 
 from .coloring import Coloring, coloring_from_labels, partition_of
 from .graph import Graph, new_graph
@@ -119,7 +123,7 @@ def parse_edge_list(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # u, v of each edge in turn: no tuple per edge
     to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "c"):
         if parts[0] == "p":
@@ -145,12 +149,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"vertex id outside 1..{n}", lineno)
             if u == v:
                 raise ParseError(f"self-loop {u} {v}", lineno)
-            edges.append((u - 1, v - 1))
+            ends += (u - 1, v - 1)
         else:
             raise ParseError(f"unrecognized record {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    return new_graph(n, edges)
+    it = iter(ends)
+    return new_graph(n, zip(it, it))
 
 
 def parse_coloring(text: str, vertex_count: int | None = None) -> Coloring:
@@ -246,28 +251,51 @@ def trace_document(
         final, base = trace.final.colors, original.vertex_count
         if g.vertex_count != base + original.edge_count:
             raise ValueError("g is not the edge expansion of original")
+        # the row of virtual vertex w is the pair u < v of the edge it stands
+        # for, so the edges are read from g without building original.edges()
         edge_colors = tuple(
-            (u, v, final[base + i]) for i, (u, v) in enumerate(original.edges())
+            (u, v, final[w]) for w, (u, v) in enumerate(g.adjacency[base:], base)
         )
     return TraceDocument(trace, g.edge_count, edge_colors)
 
 
-def emit_trace_document(doc: TraceDocument) -> str:
-    """Serialize in the canonical field order; equal documents yield equal bytes."""
-    trace = doc.trace
-    lines = [f"n {len(trace.final.colors)}", f"m {doc.edge_count}"]
-    lines.append(" ".join(["initial", *map(str, trace.colorings[0].colors)]).rstrip())
-    lines.append(" ".join(["palette_sizes", *map(str, trace.palette_sizes)]).rstrip())
+# Values per write of a long record: bounds the text a record holds at once.
+_SLICE = 4096
+
+
+def _write_record(write, key: str, values: tuple[int, ...]) -> None:
+    write(key)
+    for i in range(0, len(values), _SLICE):
+        part = values[i:i + _SLICE]
+        write(" %d" * len(part) % part)  # one pass, no str per value
+    write("\n")
+
+
+def emit_trace_document(doc: TraceDocument, out: TextIO | None = None) -> str | None:
+    """Serialize in the canonical field order; equal documents yield equal bytes.
+
+    With ``out`` the records are written to that text stream one at a time,
+    long ones in slices, and None is returned; no line is kept after it is
+    written. Without it the same writer fills a ``StringIO`` whose text is
+    returned.
+    """
+    if out is None:
+        with io.StringIO() as buf:
+            emit_trace_document(doc, buf)
+            return buf.getvalue()
+    write, trace = out.write, doc.trace
+    write(f"n {len(trace.final.colors)}\nm {doc.edge_count}\n")
+    _write_record(write, "initial", trace.colorings[0].colors)
+    _write_record(write, "palette_sizes", trace.palette_sizes)
     for coloring in trace.colorings:
-        lines.append(" ".join(["coloring", *map(str, coloring.colors)]).rstrip())
+        _write_record(write, "coloring", coloring.colors)
     marker = "none" if trace.converged_at is None else str(trace.converged_at)
-    lines.append(f"converged_at {marker}")
+    write(f"converged_at {marker}\n")
     for cls in partition_of(trace.final):
-        lines.append(" ".join(["class", *map(str, cls)]))
+        _write_record(write, "class", cls)
     for u, v, col in doc.edge_colors:
-        lines.append(f"edge_color {u} {v} {col}")
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+        write(f"edge_color {u} {v} {col}\n")
+    return None
 
 
 def parse_trace(text: str) -> TraceDocument:

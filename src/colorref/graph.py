@@ -55,7 +55,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs with ``u < v``, lexicographically ordered."""

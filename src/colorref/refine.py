@@ -69,10 +69,15 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
 def refine_step(g: Graph, c: Coloring) -> Coloring:
     """One simultaneous recoloring: portrait keys under ``c``, ranked largest first."""
     _check_sizes(g, c)
-    keys = list(_portraits(g, c))
-    rank = {p: i for i, p in enumerate(sorted(set(keys), reverse=True))}
+    # Each key is numbered on first encounter and then dropped, so a step
+    # holds one label per vertex and only the K distinct keys.
+    first: dict[tuple[int, ...], int] = {}
+    labels = [first.setdefault(key, len(first)) for key in _portraits(g, c)]
+    rank = [0] * len(first)
+    for r, key in enumerate(sorted(first, reverse=True)):
+        rank[first[key]] = r
     # ranks of the distinct keys: compact by construction
-    return Coloring._unchecked(tuple(map(rank.__getitem__, keys)), len(rank))
+    return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(rank))
 
 
 @dataclass(frozen=True)

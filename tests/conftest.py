@@ -1,3 +1,5 @@
+import tracemalloc
+
 from colorref import Coloring, new_graph
 
 
@@ -35,3 +37,14 @@ def index_portraits(portraits):
             raise ValueError("portraits of mixed lengths cannot be indexed together")
     rank = {p: i for i, p in enumerate(sorted(set(portraits)))}
     return Coloring(tuple(rank[p] for p in portraits), len(rank))
+
+
+def peak_bytes(fn, *args):
+    # the most memory fn(*args) holds at once, by tracemalloc
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from colorref import parse_edge_list, parse_trace, partition_of
-from colorref.cli import main
+from colorref.cli import _write_atomic, main
 
 
 def write(path, text):
@@ -205,3 +205,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "n=5 m=4 K_final=3 converged_at=3\n"
+
+
+def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
+    class Interrupted(Exception):
+        pass
+
+    def writer(fh):
+        fh.write("partial line\n" * 1000)
+        raise Interrupted
+
+    fresh = tmp_path / "new" / "run.trace"
+    with pytest.raises(Interrupted):
+        _write_atomic(fresh, writer)
+    assert list(fresh.parent.iterdir()) == []
+    write(tmp_path / "old.trace", "old\n")
+    with pytest.raises(Interrupted):
+        _write_atomic(tmp_path / "old.trace", writer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old.trace"]
+    assert (tmp_path / "old.trace").read_text() == "old\n"

@@ -22,7 +22,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, peak_bytes
 
 
 def test_parse_edge_list_basic():
@@ -218,6 +218,34 @@ def test_trace_round_trip_with_extras():
     text = emit_trace_document(doc)
     assert "converged_at none" in text
     assert parse_trace(text) == doc
+
+
+def test_records_longer_than_a_slice_are_written_whole():
+    # 9000 values per record, and one class of 8996, cross the write slices
+    g = path_graph(9000)
+    t = refine_to_fixpoint(g, zero_coloring(g), max_iters=2)
+    text = emit_trace_document(trace_document(t, g))
+    records = [("initial", t.colorings[0].colors), ("palette_sizes", (1, 2, 3))]
+    records += [("coloring", c.colors) for c in t.colorings]
+    want = ["n 9000", "m 8999", *(" ".join([k, *map(str, v)]) for k, v in records)]
+    want.append("converged_at none")
+    classes = partition_of(t.final)
+    want += [" ".join(["class", *map(str, cls)]) for cls in classes]
+    assert max(map(len, classes)) == 8996
+    assert text == "\n".join(want) + "\n"
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_emitting_into_a_stream_holds_no_whole_trace():
+    g = path_graph(300)
+    doc = trace_document(refine_to_fixpoint(g, zero_coloring(g)), g)
+    size = len(emit_trace_document(doc))
+    # returning the text peaks at about twice its size
+    assert peak_bytes(emit_trace_document, doc, _Discard()) < size / 2
 
 
 def test_trace_document_rejects_an_original_it_was_not_expanded_from():
@@ -420,6 +448,10 @@ MESSAGE_CASES = [
     (parse_coloring, ("0\u20031\u20032\n",), ParseError, "line 1: expected 'v c', got '0 1 2'"),
     (parse_coloring, ("+0 007\n-0 1\n",), ParseError, "line 2: duplicate assignment for vertex 0"),
     (parse_coloring, ("-0 +3\n-1 5\n",), ParseError, "line 2: vertex ids must be non-negative"),
+    # DIMACS faults after an edge line is read
+    (parse_dimacs, (P31 + "e 1 2\np edge 3 1\n",), ParseError, "line 3: duplicate problem line"),
+    (parse_dimacs, (P31 + "e 1 2\nx 1\n",), ParseError, "line 3: unrecognized record 'x'"),
+    (parse_dimacs, (P31 + "e 1 2\ne 2\n",), ParseError, "line 3: edge line must be 'e <u> <v>'"),
 ]
 
 

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
@@ -139,10 +141,15 @@ def test_parse_trace_round_trips_emitted_traces(gc):
     x = expand_edges(g)
     x_start = coloring_from_labels(c.colors + (0,) * g.edge_count)
     for cap in (1, None):
-        doc = trace_document(refine_to_fixpoint(g, c, max_iters=cap), g)
-        assert parse_trace(emit_trace_document(doc)) == doc
-        doc = trace_document(refine_to_fixpoint(x, x_start, max_iters=cap), x, g)
-        assert parse_trace(emit_trace_document(doc)) == doc
+        for doc in (
+            trace_document(refine_to_fixpoint(g, c, max_iters=cap), g),
+            trace_document(refine_to_fixpoint(x, x_start, max_iters=cap), x, g),
+        ):
+            text = emit_trace_document(doc)
+            assert parse_trace(text) == doc
+            out = io.StringIO()
+            assert emit_trace_document(doc, out) is None
+            assert out.getvalue() == text
 
 
 @st.composite

@@ -3,6 +3,7 @@ import pytest
 from colorref import (
     coloring_from_labels,
     colorings_isomorphic,
+    expand_edges,
     find_inequitable_pair,
     naive_refine,
     new_graph,
@@ -18,6 +19,7 @@ from conftest import (
     cycle_graph,
     index_portraits,
     path_graph,
+    peak_bytes,
     star_graph,
 )
 
@@ -142,6 +144,19 @@ def test_refine_step_merges_on_four_cycle():
 def test_refine_step_size_mismatch():
     with pytest.raises(ValueError):
         refine_step(path_graph(3), coloring_from_labels([0, 0]))
+
+
+def test_refine_step_holds_no_key_per_vertex():
+    a = 60
+    torus = new_graph(a * a, [
+        (i * a + j, x * a + y)
+        for i in range(a) for j in range(a)
+        for x, y in ((i, (j + 1) % a), ((i + 1) % a, j))
+    ])
+    g = expand_edges(torus)
+    # the result's tuple alone takes 8 bytes per vertex; a key tuple per
+    # vertex would add about 60 more
+    assert peak_bytes(refine_step, g, zero_coloring(g)) < 32 * g.vertex_count
 
 
 def test_fixpoint_complete_graph():
