@@ -15,7 +15,6 @@ from .coloring import (
     Partition,
     coloring_from_labels,
     colorings_isomorphic,
-    is_refinement,
     partition_of,
 )
 from .formats import (
@@ -70,7 +69,6 @@ __all__ = [
     "emit_trace_document",
     "expand_edges",
     "find_inequitable_pair",
-    "is_refinement",
     "naive_refine",
     "new_graph",
     "parse_coloring",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 # A partition of the vertex set: disjoint non-empty classes covering all
@@ -72,8 +73,9 @@ class ColorBijectionWitness:
 def colorings_isomorphic(c1: Coloring, c2: Coloring) -> ColorBijectionWitness | None:
     """Return the palette bijection mapping ``c1`` vertex-wise onto ``c2``, if any.
 
-    The induced map color-to-color must be single-valued and injective;
-    with compact palettes of equal size that already makes it a bijection.
+    The induced map color-to-color must be single-valued. It is then onto,
+    because every color of the compact palette of ``c2`` is worn by some
+    vertex, and an onto map between palettes of equal size is a bijection.
     One pass over the vertices suffices.
     """
     if len(c1.colors) != len(c2.colors):
@@ -81,29 +83,27 @@ def colorings_isomorphic(c1: Coloring, c2: Coloring) -> ColorBijectionWitness | 
     if c1.palette_size != c2.palette_size:
         return None
     forward = [-1] * c1.palette_size
-    hit = [False] * c2.palette_size
     for a, b in zip(c1.colors, c2.colors):
         if forward[a] == -1:
-            if hit[b]:
-                return None
             forward[a] = b
-            hit[b] = True
         elif forward[a] != b:
             return None
     return ColorBijectionWitness(tuple(forward))
 
 
-def is_refinement(coarse: Coloring, fine: Coloring) -> bool:
-    """True iff vertices sharing a color in ``fine`` always share one in ``coarse``."""
-    if len(coarse.colors) != len(fine.colors):
-        raise ValueError("colorings are over different vertex sets")
-    to_coarse = [-1] * fine.palette_size
-    for f, c in zip(fine.colors, coarse.colors):
-        if to_coarse[f] == -1:
-            to_coarse[f] = c
-        elif to_coarse[f] != c:
-            return False
-    return True
+def _splits(pairs: Iterable[tuple[object, object]]) -> Iterator[tuple[int, int]]:
+    """Yield ``(u, v)`` for each vertex ``v`` whose second item differs from
+    that of ``u``, the first vertex with the same first item.
+
+    ``pairs`` holds one ``(a, b)`` per vertex, in vertex order. Pairs come in
+    ascending ``v``, one entry per class of first items is held, and nothing
+    is yielded exactly when equal first items imply equal second ones.
+    """
+    first: dict[object, tuple[int, object]] = {}
+    for v, (a, b) in enumerate(pairs):
+        u, bu = first.setdefault(a, (v, b))
+        if bu != b:
+            yield u, v
 
 
 def partition_of(c: Coloring) -> Partition:

@@ -104,12 +104,17 @@ def expand_edges(g: Graph) -> Graph:
     """
     edge_list = g.edges()
     n = g.vertex_count
-    rows: list[list[int]] = [[] for _ in range(n)]
+    rows: list = [[] for _ in range(n)]
     # w grows with the edge index, so every row is built in increasing order.
     for w, (u, v) in enumerate(edge_list, start=n):
         rows[u].append(w)
         rows[v].append(w)
-    return Graph._unchecked(n + len(edge_list), tuple(map(tuple, rows)) + tuple(edge_list))
+    # rows become tuples one by one, freeing each list; a virtual vertex's
+    # row is its edge tuple as it is
+    for u, row in enumerate(rows):
+        rows[u] = tuple(row)
+    rows += edge_list
+    return Graph._unchecked(len(rows), tuple(rows))
 
 
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:

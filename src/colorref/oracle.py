@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coloring import Coloring, Partition, coloring_from_labels, is_refinement
+from .coloring import Coloring, Partition, _splits, coloring_from_labels
 from .graph import Graph, new_graph
 from .refine import refine_to_fixpoint
 
@@ -55,10 +55,10 @@ def naive_refine(g: Graph, initial: Coloring) -> Partition:
 class CounterexampleWitness:
     """A recorded step at which recoloring merged two classes.
 
-    ``merged_pair`` holds vertices with equal colors in ``after``, the
-    coloring after step ``step + 1``, but distinct colors in ``before``, the
-    coloring at step ``step``. The palette may shrink at such a step but
-    need not.
+    ``merged_pair`` is the least pair ``u < v`` of vertices with equal
+    colors in ``after``, the coloring after step ``step + 1``, but distinct
+    colors in ``before``, the coloring at step ``step``. The palette may
+    shrink at such a step but need not.
     """
 
     graph: Graph
@@ -76,21 +76,21 @@ class CounterexampleWitness:
 def violation_witness(g: Graph, initial: Coloring) -> CounterexampleWitness | None:
     """Run the engine and report the first step that fails to refine, if any."""
     trace = refine_to_fixpoint(g, initial)
-    for t in range(len(trace.colorings) - 1):
-        prev, nxt = trace.colorings[t], trace.colorings[t + 1]
-        if is_refinement(prev, nxt):
-            continue
-        for u in range(g.vertex_count):
-            for v in range(u + 1, g.vertex_count):
-                if nxt.colors[u] == nxt.colors[v] and prev.colors[u] != prev.colors[v]:
-                    return CounterexampleWitness(
-                        graph=g,
-                        initial=initial,
-                        step=t,
-                        merged_pair=(u, v),
-                        before=prev,
-                        after=nxt,
-                    )
+    for t, (prev, nxt) in enumerate(zip(trace.colorings, trace.colorings[1:])):
+        # The least vertex with a merged partner is the first of its class in
+        # nxt (an earlier member would make a smaller merged pair), and
+        # _splits pairs that first member with each partner, so the minimum
+        # is the lexicographically least merged pair.
+        pair = min(_splits(zip(nxt.colors, prev.colors)), default=None)
+        if pair is not None:
+            return CounterexampleWitness(
+                graph=g,
+                initial=initial,
+                step=t,
+                merged_pair=pair,
+                before=prev,
+                after=nxt,
+            )
     return None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .coloring import Coloring, colorings_isomorphic
+from .coloring import Coloring, _splits, colorings_isomorphic
 from .graph import Graph
 
 
@@ -55,8 +55,8 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
 
     This is the only place a portrait is built; the dense vectors exist
     only in the test reference in ``tests/conftest.py``. It stays lazy so
-    that ``find_inequitable_pair`` stops at the first mismatch and holds
-    only one key per class.
+    that ``refine_step`` holds only the distinct keys and
+    ``find_inequitable_pair`` one key per class, up to the first split.
     """
     k = c.palette_size
     at = c.colors.__getitem__
@@ -135,17 +135,11 @@ def refine_to_fixpoint(
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
     """First vertex pair sharing a color but differing in portrait, if any.
 
-    None means ``c`` is equitable. Every stable point of the process is
-    equitable. The converse needs distinct classes to carry distinct
-    portraits as well: two singleton classes with equal portraits are
-    equitable yet still merge under ``refine_step``.
+    The pair is ``(u, v)`` for the first such ``v``, with ``u`` the first
+    vertex of its color. None means ``c`` is equitable. Every stable point
+    of the process is equitable. The converse needs distinct classes to
+    carry distinct portraits as well: two singleton classes with equal
+    portraits are equitable yet still merge under ``refine_step``.
     """
     _check_sizes(g, c)
-    rep: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for v, p in enumerate(_portraits(g, c)):
-        col = c.colors[v]
-        if col not in rep:
-            rep[col] = (v, p)
-        elif rep[col][1] != p:
-            return (rep[col][0], v)
-    return None
+    return next(_splits(zip(c.colors, _portraits(g, c))), None)

@@ -1,6 +1,6 @@
 import tracemalloc
 
-from colorref import Coloring, new_graph
+from colorref import Coloring, new_graph, refine_to_fixpoint
 
 
 def path_graph(n):
@@ -25,6 +25,44 @@ def brute_portrait(g, c, v):
         sum(1 for u in range(g.vertex_count) if u in g.adjacency[v] and c.colors[u] == j)
         for j in range(c.palette_size)
     )
+
+
+def brute_inequitable_pair(g, c):
+    rep = {}
+    for v in range(g.vertex_count):
+        p = brute_portrait(g, c, v)
+        u, q = rep.setdefault(c.colors[v], (v, p))
+        if q != p:
+            return (u, v)
+    return None
+
+
+def is_refinement(coarse: Coloring, fine: Coloring) -> bool:
+    """True iff vertices sharing a color in ``fine`` always share one in ``coarse``."""
+    if len(coarse.colors) != len(fine.colors):
+        raise ValueError("colorings are over different vertex sets")
+    to_coarse = [-1] * fine.palette_size
+    for f, c in zip(fine.colors, coarse.colors):
+        if to_coarse[f] == -1:
+            to_coarse[f] = c
+        elif to_coarse[f] != c:
+            return False
+    return True
+
+
+def brute_violation(g, initial):
+    # reference for violation_witness: the first step of the run that is not
+    # a refinement, and the least pair u < v that it merges, by pair scan
+    n = g.vertex_count
+    colorings = refine_to_fixpoint(g, initial).colorings
+    for t, (prev, nxt) in enumerate(zip(colorings, colorings[1:])):
+        if is_refinement(prev, nxt):
+            continue
+        for u in range(n):
+            for v in range(u + 1, n):
+                if nxt.colors[u] == nxt.colors[v] and prev.colors[u] != prev.colors[v]:
+                    return t, (u, v), prev, nxt
+    return None
 
 
 def index_portraits(portraits):

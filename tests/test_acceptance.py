@@ -16,7 +16,6 @@ from colorref import (
     emit_trace_document,
     expand_edges,
     find_inequitable_pair,
-    is_refinement,
     naive_refine,
     new_graph,
     partition_of,
@@ -27,7 +26,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, is_refinement, path_graph
 
 PROBABILITIES = (0.05, 0.1, 0.5, 0.9)
 

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "emit_trace_document",
     "expand_edges",
     "find_inequitable_pair",
-    "is_refinement",
     "naive_refine",
     "new_graph",
     "parse_coloring",

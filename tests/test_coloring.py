@@ -4,9 +4,9 @@ from colorref import (
     Coloring,
     coloring_from_labels,
     colorings_isomorphic,
-    is_refinement,
     partition_of,
 )
+from conftest import is_refinement
 
 
 def col(*labels):

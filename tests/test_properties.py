@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from colorref import (
@@ -14,7 +14,6 @@ from colorref import (
     emit_trace_document,
     expand_edges,
     find_inequitable_pair,
-    is_refinement,
     naive_refine,
     new_graph,
     parse_coloring,
@@ -26,9 +25,16 @@ from colorref import (
     refine_step,
     refine_to_fixpoint,
     trace_document,
+    violation_witness,
     zero_coloring,
 )
-from conftest import brute_portrait, index_portraits
+from conftest import (
+    brute_inequitable_pair,
+    brute_portrait,
+    brute_violation,
+    index_portraits,
+    is_refinement,
+)
 
 
 @st.composite
@@ -114,6 +120,8 @@ def test_library_built_colorings_pass_the_public_checks(gc, labels):
 
 
 @given(graphs_with_colorings())
+# classes {0, 3} and {1, 2} are both inequitable; the pair at the first v is (1, 2)
+@example((new_graph(4, [(1, 3)]), coloring_from_labels([1, 0, 0, 1])))
 def test_portrait_counts_sum_to_degree(gc):
     g, c = gc
     portraits = [brute_portrait(g, c, v) for v in range(g.vertex_count)]
@@ -122,6 +130,7 @@ def test_portrait_counts_sum_to_degree(gc):
         assert sum(p) == len(g.adjacency[v])
         assert len(p) == c.palette_size
     pair = find_inequitable_pair(g, c)
+    assert pair == brute_inequitable_pair(g, c)
     if pair is None:
         assert all(
             portraits[u] == portraits[v]
@@ -226,6 +235,17 @@ def test_zero_start_contract(g):
     # the stable point is equitable and agrees with the brute-force route
     assert find_inequitable_pair(g, trace.final) is None
     assert partition_of(trace.final) == naive_refine(g, zero_coloring(g))
+
+
+@given(graphs_with_colorings())
+# the first step merges {1, 2} and {0, 3}; the least merged pair is (0, 3)
+@example((new_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), coloring_from_labels([1, 1, 0, 2])))
+@settings(max_examples=200, deadline=None)
+def test_violation_witness_matches_pair_scan(gc):
+    g, c = gc
+    w = violation_witness(g, c)
+    got = None if w is None else (w.step, w.merged_pair, w.before, w.after)
+    assert got == brute_violation(g, c)
 
 
 @given(graphs(max_n=8))

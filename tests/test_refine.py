@@ -14,10 +14,12 @@ from colorref import (
 )
 from colorref.cli import main
 from conftest import (
+    brute_inequitable_pair,
     brute_portrait,
     complete_graph,
     cycle_graph,
     index_portraits,
+    is_refinement,
     path_graph,
     peak_bytes,
     star_graph,
@@ -63,16 +65,6 @@ def test_portrait_of_isolated_vertex():
     assert refine_step(g, c) == index_portraits(brute_portrait(g, c, v) for v in range(4))
     with pytest.raises(ValueError):
         find_inequitable_pair(g, coloring_from_labels([0, 0, 0, 0, 0]))
-
-
-def brute_inequitable_pair(g, c):
-    rep = {}
-    for v in range(g.vertex_count):
-        p = brute_portrait(g, c, v)
-        u, q = rep.setdefault(c.colors[v], (v, p))
-        if q != p:
-            return (u, v)
-    return None
 
 
 def test_rank_contract_on_each_ordering_case():
@@ -182,8 +174,6 @@ def test_fixpoint_four_cycle_nonzero_start():
     assert t.palette_sizes == (2, 2, 2)
     assert partition_of(t.final) == ((0, 2), (1, 3))
     # the first step merged vertices 0 and 2, so it is not a refinement
-    from colorref import is_refinement
-
     assert not is_refinement(t.colorings[0], t.colorings[1])
 
 
