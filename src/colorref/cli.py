@@ -56,8 +56,8 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
 def _load_graph(path: str, fmt: str | None):
     if fmt is None:
         fmt = "dimacs" if Path(path).suffix in DIMACS_SUFFIXES else "edgelist"
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text()
         return parse_edge_list(text) if fmt == "edgelist" else parse_dimacs(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

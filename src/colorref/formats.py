@@ -17,8 +17,8 @@ Coloring file
 Trace document
     Line-oriented ``key value...`` records in one canonical order (see
     emit_trace_document). ``#`` comments are ignored on parse, so callers
-    may prepend provenance headers without breaking round-trips. Given a
-    text stream ``out``, emit_trace_document writes the records into it as
+    may prepend provenance headers without breaking round-trips.
+    emit_trace_document writes the records into a text stream ``out`` as
     it builds them, so a trace never has to be held in memory whole.
 
 All emitters are pure functions of their inputs, apart from writing to
@@ -28,12 +28,11 @@ All emitters are pure functions of their inputs, apart from writing to
 from __future__ import annotations
 
 import colorsys
-import io
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import TextIO
 
-from .coloring import Coloring, coloring_from_labels, partition_of
+from .coloring import Coloring, coloring_from_labels, colorings_isomorphic, partition_of
 from .graph import Graph, new_graph
 from .refine import RefinementTrace
 
@@ -227,15 +226,16 @@ def emit_dot(g: Graph, c: Coloring) -> str:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """One refinement run: its trace, the edge count and the edge colors.
+    """One refinement run: its trace, the edge count and the original edges.
 
-    ``edge_colors`` lists ``(u, v, color)`` per original edge of an
-    edge-expanded run and is empty otherwise.
+    ``edges`` holds the pair ``(u, v)`` of each original edge of an
+    edge-expanded run, and is empty otherwise. Edge ``i``'s color is read
+    from the trace: the final color of virtual vertex ``n - len(edges) + i``.
     """
 
     trace: RefinementTrace
     edge_count: int
-    edge_colors: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int], ...]
 
 
 def trace_document(
@@ -243,20 +243,18 @@ def trace_document(
 ) -> TraceDocument:
     """Assemble the document for a finished run on ``g``.
 
-    With ``g = expand_edges(original)`` it records the final color of each
-    original edge i, the color of virtual vertex ``original.vertex_count + i``.
+    With ``g = expand_edges(original)`` it records the pair of each original
+    edge i, whose color is that of virtual vertex ``original.vertex_count + i``.
     """
-    edge_colors = ()
+    edges = ()
     if original is not None:
-        final, base = trace.final.colors, original.vertex_count
+        base = original.vertex_count
         if g.vertex_count != base + original.edge_count:
             raise ValueError("g is not the edge expansion of original")
         # the row of virtual vertex w is the pair u < v of the edge it stands
-        # for, so the edges are read from g without building original.edges()
-        edge_colors = tuple(
-            (u, v, final[w]) for w, (u, v) in enumerate(g.adjacency[base:], base)
-        )
-    return TraceDocument(trace, g.edge_count, edge_colors)
+        # for, so the edges are the virtual rows, shared with g
+        edges = g.adjacency[base:]
+    return TraceDocument(trace, g.edge_count, edges)
 
 
 # Values per write of a long record: bounds the text a record holds at once.
@@ -271,20 +269,15 @@ def _write_record(write, key: str, values: tuple[int, ...]) -> None:
     write("\n")
 
 
-def emit_trace_document(doc: TraceDocument, out: TextIO | None = None) -> str | None:
+def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     """Serialize in the canonical field order; equal documents yield equal bytes.
 
-    With ``out`` the records are written to that text stream one at a time,
-    long ones in slices, and None is returned; no line is kept after it is
-    written. Without it the same writer fills a ``StringIO`` whose text is
-    returned.
+    The records are written to the text stream ``out`` one at a time, long
+    ones in slices; no line is kept after it is written.
     """
-    if out is None:
-        with io.StringIO() as buf:
-            emit_trace_document(doc, buf)
-            return buf.getvalue()
     write, trace = out.write, doc.trace
-    write(f"n {len(trace.final.colors)}\nm {doc.edge_count}\n")
+    final = trace.final.colors
+    write(f"n {len(final)}\nm {doc.edge_count}\n")
     _write_record(write, "initial", trace.colorings[0].colors)
     _write_record(write, "palette_sizes", trace.palette_sizes)
     for coloring in trace.colorings:
@@ -293,9 +286,8 @@ def emit_trace_document(doc: TraceDocument, out: TextIO | None = None) -> str | 
     write(f"converged_at {marker}\n")
     for cls in partition_of(trace.final):
         _write_record(write, "class", cls)
-    for u, v, col in doc.edge_colors:
-        write(f"edge_color {u} {v} {col}\n")
-    return None
+    for w, (u, v) in enumerate(doc.edges, len(final) - len(doc.edges)):
+        write(f"edge_color {u} {v} {final[w]}\n")
 
 
 def parse_trace(text: str) -> TraceDocument:
@@ -306,7 +298,9 @@ def parse_trace(text: str) -> TraceDocument:
     ``m`` are non-negative; every coloring has ``n`` entries and is a
     ``Coloring`` with the palette size of its ``palette_sizes`` entry; the
     classes are ``partition_of`` the last coloring; a ``converged_at``
-    step lies in ``1 .. len(colorings) - 1``; and ``k`` edge_color records
+    step lies in ``1 .. len(colorings) - 1`` and is the first step whose
+    coloring is isomorphic to the one before it, and the last step, while
+    ``none`` needs no such step; and ``k`` edge_color records
     describe an edge-expanded run: ``m = 2k``, the pairs ``u < v`` are
     original vertices below ``n - k`` in increasing order, and the color of
     record ``i`` is the final color of virtual vertex ``n - k + i``.
@@ -388,6 +382,14 @@ def parse_trace(text: str) -> TraceDocument:
         raise ParseError(
             f"converged_at must lie in 1..{len(colorings) - 1}", converged_line
         )
+    trace = RefinementTrace(tuple(checked))
+    # a run stops at its first isomorphic step, so no earlier step is one
+    early = zip(checked, checked[1:-1])
+    if converged_at != trace.converged_at or any(
+        colorings_isomorphic(a, b) is not None for a, b in early
+    ):
+        message = "converged_at disagrees with the colorings' first isomorphic step"
+        raise ParseError(message, converged_line)
     k = len(edge_colors)
     if k and m != 2 * k:
         raise ParseError(f"m = {m} is not twice the {k} edge_color records", m_line)
@@ -399,6 +401,4 @@ def parse_trace(text: str) -> TraceDocument:
             raise ParseError("edge_color pairs are not in increasing order", lineno)
         if col != final.colors[base + i]:
             raise ParseError(f"edge_color {col} is not vertex {base + i}'s final color", lineno)
-    return TraceDocument(
-        RefinementTrace(tuple(checked), converged_at), m, tuple(edge_colors)
-    )
+    return TraceDocument(trace, m, tuple((u, v) for u, v, _ in edge_colors))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .coloring import Coloring, Partition, _splits, coloring_from_labels
 from .graph import Graph, new_graph
@@ -168,26 +169,19 @@ def search_refinement_counterexample(
         raise ValueError("attempts must be non-negative")
     rng = random.Random(seed)
     small = [g for n in range(2, min(max_n, 5) + 1) for g in _connected_graphs(n)]
-    budget = attempts
-    while budget > 0:
-        before = budget
-        for g in small:
-            if budget == 0:
-                break
-            budget -= 1
-            w = violation_witness(g, _random_split_coloring(g, rng))
-            if w is not None:
-                return w
-        for n in range(6, max_n + 1):
-            if budget == 0:
-                break
-            g = _random_connected(n, rng)
-            if g is None:
-                continue
-            budget -= 1
-            w = violation_witness(g, _random_split_coloring(g, rng))
-            if w is not None:
-                return w
-        if budget == before:
-            break
+
+    def trials():
+        # rounds of every small graph, then one random graph per larger n;
+        # lazy, so each graph is drawn after the previous trial's coloring
+        while True:
+            yield from small
+            for n in range(6, max_n + 1):
+                g = _random_connected(n, rng)
+                if g is not None:
+                    yield g
+
+    for g in islice(trials(), attempts):
+        w = violation_witness(g, _random_split_coloring(g, rng))
+        if w is not None:
+            return w
     return None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coloring import Coloring, _splits, colorings_isomorphic
 from .graph import Graph
@@ -82,16 +83,21 @@ def refine_step(g: Graph, c: Coloring) -> Coloring:
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Full history of an iterated refinement.
+    """Full history of an iterated refinement: its colorings alone.
 
     ``colorings[t]`` is the coloring after ``t`` steps (index 0 is the
-    start). ``converged_at`` is the first ``t >= 1`` with ``colorings[t-1]``
-    isomorphic to ``colorings[t]``, or None if the iteration cap was hit
-    first. ``palette_sizes`` is derived from ``colorings``, not stored.
+    start). ``converged_at`` is the last step if its coloring is isomorphic
+    to the one before, where a run stops, else None (the cap was hit).
+    It and ``palette_sizes`` are derived from ``colorings``, not stored.
     """
 
     colorings: tuple[Coloring, ...]
-    converged_at: int | None
+
+    @cached_property
+    def converged_at(self) -> int | None:
+        t = len(self.colorings) - 1
+        stopped = t >= 1 and colorings_isomorphic(*self.colorings[-2:]) is not None
+        return t if stopped else None
 
     @property
     def palette_sizes(self) -> tuple[int, ...]:
@@ -112,8 +118,8 @@ def refine_to_fixpoint(
     all-equal start the partition stabilises within ``vertex_count`` steps
     and one more step witnesses the isomorphism. Other starts can cycle
     forever: on the edges {0, 2}, {1, 3} the start (0, 1, 0, 0) alternates
-    between two partitions. The trace then stops at the cap and reports
-    ``converged_at=None`` rather than raising.
+    between two partitions. The trace then stops at the cap, and its
+    ``converged_at`` is None rather than an error.
     """
     _check_sizes(g, initial)
     if max_iters is None:
@@ -121,15 +127,13 @@ def refine_to_fixpoint(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     colorings = [initial]
-    converged_at = None
-    for t in range(1, max_iters + 1):
+    for _ in range(max_iters):
         prev = colorings[-1]
         nxt = refine_step(g, prev)
         colorings.append(nxt)
         if colorings_isomorphic(prev, nxt) is not None:
-            converged_at = t
             break
-    return RefinementTrace(tuple(colorings), converged_at)
+    return RefinementTrace(tuple(colorings))
 
 
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:

@@ -1,6 +1,7 @@
+import io
 import tracemalloc
 
-from colorref import Coloring, new_graph, refine_to_fixpoint
+from colorref import Coloring, emit_trace_document, new_graph, refine_to_fixpoint
 
 
 def path_graph(n):
@@ -75,6 +76,21 @@ def index_portraits(portraits):
             raise ValueError("portraits of mixed lengths cannot be indexed together")
     rank = {p: i for i, p in enumerate(sorted(set(portraits)))}
     return Coloring(tuple(rank[p] for p in portraits), len(rank))
+
+
+def emitted(doc):
+    # the text emit_trace_document writes for doc
+    out = io.StringIO()
+    emit_trace_document(doc, out)
+    return out.getvalue()
+
+
+def edge_colors(doc):
+    # (u, v, color) of each original edge, as its edge_color record gives it:
+    # the final color of the virtual vertex that stands for the edge
+    final = doc.trace.final.colors
+    virtual = final[len(final) - len(doc.edges):]
+    return tuple((u, v, col) for (u, v), col in zip(doc.edges, virtual))
 
 
 def peak_bytes(fn, *args):

@@ -13,7 +13,6 @@ import pytest
 from colorref import (
     coloring_from_labels,
     colorings_isomorphic,
-    emit_trace_document,
     expand_edges,
     find_inequitable_pair,
     naive_refine,
@@ -26,7 +25,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import complete_graph, cycle_graph, is_refinement, path_graph
+from conftest import complete_graph, cycle_graph, emitted, is_refinement, path_graph
 
 PROBABILITIES = (0.05, 0.1, 0.5, 0.9)
 
@@ -205,7 +204,7 @@ def permuted_copy(g, seed):
 
 
 def trace_text(trace, g):
-    return emit_trace_document(trace_document(trace, g))
+    return emitted(trace_document(trace, g))
 
 
 def test_criterion_9_determinism_under_input_permutation(corpus, corpus_traces):

@@ -91,10 +91,17 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
-    # Every other record (n, initial, palette sizes, colorings, classes) is
-    # read from the trace, so a second stored copy cannot drift from it.
+    # Every other record (n, initial, palette sizes, colorings, classes and
+    # the edge colors) is read from the trace, so a second stored copy
+    # cannot drift from it.
     names = tuple(f.name for f in dataclasses.fields(colorref.TraceDocument))
-    assert names == ("trace", "edge_count", "edge_colors")
+    assert names == ("trace", "edge_count", "edges")
+
+
+def test_refinement_trace_holds_only_its_colorings():
+    # converged_at and the palette sizes are read from the colorings
+    names = tuple(f.name for f in dataclasses.fields(colorref.RefinementTrace))
+    assert names == ("colorings",)
 
 
 def test_benchmark_wraps_only_names_the_cli_has(monkeypatch):

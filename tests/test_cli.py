@@ -5,6 +5,7 @@ import pytest
 
 from colorref import parse_edge_list, parse_trace, partition_of
 from colorref.cli import _write_atomic, main
+from conftest import edge_colors
 
 
 def write(path, text):
@@ -74,12 +75,12 @@ def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     assert main(["refine", c3, "--expand-edges", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "n=6 m=6 K_final=1 converged_at=1\n"
     doc = parse_trace(trace.read_text())
-    assert doc.edge_colors == ((0, 1, 0), (0, 2, 0), (1, 2, 0))
+    assert edge_colors(doc) == ((0, 1, 0), (0, 2, 0), (1, 2, 0))
     # the middle edge of a four-path is told apart from the two end edges
     p4 = write(tmp_path / "p4.edges", "0 1\n1 2\n2 3\n")
     assert main(["refine", p4, "--expand-edges", "--trace", str(trace)]) == 0
     doc = parse_trace(trace.read_text())
-    assert doc.edge_colors == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
+    assert edge_colors(doc) == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
 
 
 def test_refine_parse_failure_names_file_and_line(tmp_path, capsys):
@@ -87,6 +88,16 @@ def test_refine_parse_failure_names_file_and_line(tmp_path, capsys):
     assert main(["refine", bad]) == 2
     err = capsys.readouterr().err
     assert "bad.edges" in err and "line 2" in err
+    assert not (tmp_path / "bad.edges.trace").exists()
+
+
+@pytest.mark.parametrize("command", [["refine", "{}"], ["verify", "{}", "{}.colors"]])
+def test_undecodable_graph_file_is_named(tmp_path, capsys, command):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n1 \xff\n")
+    assert main([arg.format(bad) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}: ") and "can't decode" in err
     assert not (tmp_path / "bad.edges.trace").exists()
 
 

@@ -22,7 +22,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import complete_graph, path_graph, peak_bytes
+from conftest import complete_graph, edge_colors, emitted, path_graph, peak_bytes
 
 
 def test_parse_edge_list_basic():
@@ -175,7 +175,7 @@ def test_trace_document_triangle():
     assert doc.trace.palette_sizes == (1, 1)
     assert doc.trace.converged_at == 1
     assert partition_of(doc.trace.final) == ((0, 1, 2),)
-    assert emit_trace_document(doc) == (
+    assert emitted(doc) == (
         "n 3\n"
         "m 3\n"
         "initial 0 0 0\n"
@@ -193,7 +193,7 @@ def test_trace_document_empty_graph():
     doc = trace_document(t, g)
     assert len(doc.trace.final.colors) == 0
     assert doc.trace.converged_at == 1
-    assert parse_trace(emit_trace_document(doc)) == doc
+    assert parse_trace(emitted(doc)) == doc
 
 
 def test_trace_document_path5():
@@ -214,8 +214,8 @@ def _expanded_p4_document():
 
 def test_trace_round_trip_with_extras():
     doc = _expanded_p4_document()
-    assert doc.edge_colors == ((0, 1, 2), (1, 2, 2), (2, 3, 1))
-    text = emit_trace_document(doc)
+    assert edge_colors(doc) == ((0, 1, 2), (1, 2, 2), (2, 3, 1))
+    text = emitted(doc)
     assert "converged_at none" in text
     assert parse_trace(text) == doc
 
@@ -224,7 +224,7 @@ def test_records_longer_than_a_slice_are_written_whole():
     # 9000 values per record, and one class of 8996, cross the write slices
     g = path_graph(9000)
     t = refine_to_fixpoint(g, zero_coloring(g), max_iters=2)
-    text = emit_trace_document(trace_document(t, g))
+    text = emitted(trace_document(t, g))
     records = [("initial", t.colorings[0].colors), ("palette_sizes", (1, 2, 3))]
     records += [("coloring", c.colors) for c in t.colorings]
     want = ["n 9000", "m 8999", *(" ".join([k, *map(str, v)]) for k, v in records)]
@@ -243,8 +243,8 @@ class _Discard:
 def test_emitting_into_a_stream_holds_no_whole_trace():
     g = path_graph(300)
     doc = trace_document(refine_to_fixpoint(g, zero_coloring(g)), g)
-    size = len(emit_trace_document(doc))
-    # returning the text peaks at about twice its size
+    size = len(emitted(doc))
+    # holding the text whole would take its size at least
     assert peak_bytes(emit_trace_document, doc, _Discard()) < size / 2
 
 
@@ -259,11 +259,11 @@ def test_trace_document_rejects_an_original_it_was_not_expanded_from():
 def _made_up_edge_colors():
     g = path_graph(4)
     t = refine_to_fixpoint(g, coloring_from_labels([0, 0, 0, 1]), max_iters=1)
-    return emit_trace_document(TraceDocument(t, g.edge_count, ((0, 1, 2), (1, 2, 0))))
+    return emitted(TraceDocument(t, g.edge_count, ((0, 1), (1, 2))))
 
 
 def _expanded_p4_text(old, new):
-    text = emit_trace_document(_expanded_p4_document())
+    text = emitted(_expanded_p4_document())
     assert old in text
     return text.replace(old, new, 1)
 
@@ -297,7 +297,7 @@ def test_parse_trace_ignores_comment_header():
     g = complete_graph(3)
     t = refine_to_fixpoint(g, zero_coloring(g))
     doc = trace_document(t, g)
-    text = "# run metadata\n" + emit_trace_document(doc)
+    text = "# run metadata\n" + emitted(doc)
     assert parse_trace(text) == doc
 
 
@@ -323,7 +323,7 @@ GOOD_TRACE = (
 def test_good_trace_parses():
     doc = parse_trace(GOOD_TRACE)
     assert partition_of(doc.trace.final) == ((0, 2), (1,))
-    assert emit_trace_document(doc) == GOOD_TRACE
+    assert emitted(doc) == GOOD_TRACE
 
 
 @pytest.mark.parametrize(
@@ -354,6 +354,17 @@ def test_good_trace_parses():
         # converged_at outside 1..len(colorings)-1
         ("converged_at 2", "converged_at 0", r"line 8: converged_at must lie in 1..2"),
         ("converged_at 2", "converged_at 3", r"line 8: converged_at must lie in 1..2"),
+        # a converged_at that no run gives: these colorings stop at step 2,
+        # the first isomorphic to the one before, and three equal ones at 1
+        ("converged_at 2", "converged_at 1",
+         "line 8: converged_at disagrees with the colorings' first isomorphic step"),
+        ("converged_at 2", "converged_at none",
+         "line 8: converged_at disagrees with the colorings' first isomorphic step"),
+        ("palette_sizes 1 2 2\ncoloring 0 0 0\ncoloring 0 1 0\ncoloring 0 1 0\n"
+         "converged_at 2\nclass 0 2\nclass 1\n",
+         "palette_sizes 1 1 1\ncoloring 0 0 0\ncoloring 0 0 0\ncoloring 0 0 0\n"
+         "converged_at 2\nclass 0 1 2\n",
+         "line 8: converged_at disagrees with the colorings' first isomorphic step"),
         # a record repeated, or a negative count
         ("n 3\n", "n 3\nn 3\n", "line 2: duplicate n record"),
         ("m 2\n", "m 2\nm -7\n", "line 3: duplicate m record"),
@@ -367,8 +378,9 @@ def test_good_trace_parses():
     ids=["n-too-large", "short-coloring", "palette-size-differs", "palette-gap",
          "initial-palette", "palette-oversize", "class-repeats", "class-out-of-range",
          "class-missing", "class-empty", "class-absent", "class-not-final-partition",
-         "converged-at-zero", "converged-at-past-end", "n-repeated", "m-repeated",
-         "m-negative", "initial-repeated", "palette-sizes-repeated",
+         "converged-at-zero", "converged-at-past-end", "converged-at-too-early",
+         "converged-at-none-after-a-repeat", "converged-at-after-a-repeat",
+         "n-repeated", "m-repeated", "m-negative", "initial-repeated", "palette-sizes-repeated",
          "converged-at-repeated"],
 )
 def test_parse_trace_rejects_inconsistent_records(old, new, message):

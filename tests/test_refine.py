@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from colorref import (
+    Coloring,
     coloring_from_labels,
     colorings_isomorphic,
     expand_edges,
@@ -232,6 +235,51 @@ def test_oscillating_start_never_converges(tmp_path, capsys):
                  "--trace", str(tmp_path / "t")])
     assert code == 3
     assert capsys.readouterr().out == "n=4 m=2 K_final=2 converged_at=none\n"
+
+
+def restricted_growth_strings(n):
+    # every partition of 0..n-1 once, its classes numbered in order of first vertex
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (c,) for s in strings for c in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def first_repeat(colorings):
+    """(step, period) at the first coloring whose partition came before, or None."""
+    seen = {}
+    for step, c in enumerate(colorings):
+        part = partition_of(c)
+        if part in seen:
+            return step, step - seen[part]
+        seen[part] = step
+    return None
+
+
+def test_every_start_on_up_to_five_vertices_ends_in_period_one_or_two():
+    # The paper's claim checked exhaustively: every labeled graph on n <= 5
+    # vertices, from every start partition (54 254 runs), repeats a partition
+    # by step max(n, 1) with period 1 or 2. A run converges exactly when the
+    # period is 1, at that repeat, and there the oracle agrees.
+    periods = Counter()
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        starts = [Coloring(s, len(set(s))) for s in restricted_growth_strings(n)]
+        for mask in range(1 << len(pairs)):
+            g = new_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for start in starts:
+                t = refine_to_fixpoint(g, start)
+                repeat = first_repeat(t.colorings)
+                assert repeat is not None, (n, mask, start.colors)
+                step, period = repeat
+                assert step <= max(n, 1) and period in (1, 2), (n, mask, start.colors)
+                periods[period] += 1
+                if period == 1:
+                    assert t.converged_at == step
+                    assert naive_refine(g, start) == partition_of(t.final)
+                else:
+                    assert t.converged_at is None
+    assert periods == {1: 52190, 2: 2064}
 
 
 def test_find_inequitable_pair_examples():
