@@ -27,7 +27,7 @@ from .formats import (
     trace_document,
 )
 from .graph import expand_edges, random_graph
-from .oracle import search_refinement_counterexample, violation_witness
+from .oracle import search_refinement_counterexample
 from .refine import find_inequitable_pair, refine_to_fixpoint, zero_coloring
 
 EXIT_OK = 0
@@ -53,21 +53,22 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
+def _load(path: str, parse, *args):
+    # a decode error of the read is a ValueError too, so it names the file
+    try:
+        return parse(Path(path).read_text(), *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_graph(path: str, fmt: str | None):
     if fmt is None:
         fmt = "dimacs" if Path(path).suffix in DIMACS_SUFFIXES else "edgelist"
-    try:
-        text = Path(path).read_text()
-        return parse_edge_list(text) if fmt == "edgelist" else parse_dimacs(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load(path, parse_edge_list if fmt == "edgelist" else parse_dimacs)
 
 
 def _load_coloring(path: str, vertex_count: int | None):
-    try:
-        return parse_coloring(Path(path).read_text(), vertex_count)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load(path, parse_coloring, vertex_count)
 
 
 def _cmd_refine(args) -> int:

@@ -305,69 +305,44 @@ def parse_trace(text: str) -> TraceDocument:
     original vertices below ``n - k`` in increasing order, and the color of
     record ``i`` is the final color of virtual vertex ``n - k + i``.
     """
-    n = m = None
-    initial: tuple[int, ...] | None = None
-    palette_sizes: tuple[int, ...] | None = None
-    colorings: list[tuple[int, ...]] = []
-    converged_at: int | None = None
-    once: set[str] = set()
-    classes: list[tuple[int, ...]] = []
-    # line numbers of the records checked against each other at the end
-    coloring_lines: list[int] = []
-    class_lines: list[int] = []
-    converged_line = m_line = 0
-    edge_colors: list[tuple[int, int, int]] = []
-    edge_lines: list[int] = []
+    single = ("n", "m", "initial", "palette_sizes", "converged_at")
+    # each record as (line number, values): the checks after the loop name
+    # the line of the record they reject
+    records: dict[str, list] = {key: [] for key in (*single, "coloring", "class", "edge_color")}
     for lineno, parts in _content_lines(text, "#"):
-        key, values = parts[0], parts[1:]
-        if key in ("n", "m", "initial", "palette_sizes", "converged_at"):
-            if key in once:
-                raise ParseError(f"duplicate {key} record", lineno)
-            once.add(key)
+        key, tokens = parts[0], parts[1:]
+        if key in single and records[key]:
+            raise ParseError(f"duplicate {key} record", lineno)
         if key == "converged_at":
-            converged_line = lineno
-            if len(values) != 1:
+            if len(tokens) != 1:
                 raise ParseError("converged_at needs exactly one value", lineno)
-            if values[0] != "none":
-                converged_at = _int_field(values[0], "step", lineno)
-            continue
-        ints = [_int_field(tok, "value", lineno) for tok in values]
-        if key in ("n", "m"):
-            if len(ints) != 1:
-                raise ParseError(f"{key} needs exactly one value", lineno)
-            if ints[0] < 0:
-                raise ParseError(f"{key} must be non-negative", lineno)
-            if key == "n":
-                n = ints[0]
-            else:
-                m, m_line = ints[0], lineno
-        elif key == "initial":
-            initial = tuple(ints)
-        elif key == "palette_sizes":
-            palette_sizes = tuple(ints)
-        elif key == "coloring":
-            colorings.append(tuple(ints))
-            coloring_lines.append(lineno)
-        elif key == "class":
-            classes.append(tuple(ints))
-            class_lines.append(lineno)
-        elif key == "edge_color":
-            if len(ints) != 3:
-                raise ParseError("edge_color needs 'u v color'", lineno)
-            edge_colors.append((ints[0], ints[1], ints[2]))
-            edge_lines.append(lineno)
+            values = None if tokens[0] == "none" else _int_field(tokens[0], "step", lineno)
         else:
-            raise ParseError(f"unrecognized record {key!r}", lineno)
-    if n is None or m is None:
+            values = tuple([_int_field(tok, "value", lineno) for tok in tokens])
+            if key not in records:
+                raise ParseError(f"unrecognized record {key!r}", lineno)
+            if key in ("n", "m"):
+                if len(values) != 1:
+                    raise ParseError(f"{key} needs exactly one value", lineno)
+                if values[0] < 0:
+                    raise ParseError(f"{key} must be non-negative", lineno)
+            elif key == "edge_color" and len(values) != 3:
+                raise ParseError("edge_color needs 'u v color'", lineno)
+        records[key].append((lineno, values))
+    if not records["n"] or not records["m"]:
         raise ParseError("missing graph summary (n/m records)")
-    if initial is None or palette_sizes is None or "converged_at" not in once:
+    if not (records["initial"] and records["palette_sizes"] and records["converged_at"]):
         raise ParseError("missing initial, palette_sizes, or converged_at record")
-    if not colorings or colorings[0] != initial:
+    [(_, (n,))], [(_, (m,))] = records["n"], records["m"]
+    [(_, initial)], [(_, palette_sizes)] = records["initial"], records["palette_sizes"]
+    [(_, converged_at)] = records["converged_at"]
+    colorings = records["coloring"]
+    if not colorings or colorings[0][1] != initial:
         raise ParseError("first coloring record must repeat the initial coloring")
     if len(palette_sizes) != len(colorings):
         raise ParseError("palette_sizes must list one size per coloring")
     checked: list[Coloring] = []
-    for coloring, k, lineno in zip(colorings, palette_sizes, coloring_lines):
+    for (lineno, coloring), k in zip(colorings, palette_sizes):
         if len(coloring) != n:
             raise ParseError(f"coloring has {len(coloring)} entries, not n = {n}", lineno)
         try:
@@ -375,12 +350,15 @@ def parse_trace(text: str) -> TraceDocument:
         except ValueError as err:
             raise ParseError(str(err), lineno) from None
     final = checked[-1]
-    for cls, want, lineno in zip_longest(classes, partition_of(final), class_lines):
-        if cls != want:  # lineno is None when class records are missing at the end
+    # either side pads with (None, None): an extra record is named by its
+    # line, a missing one by no line
+    classes = zip_longest(records["class"], partition_of(final), fillvalue=(None, None))
+    for (lineno, cls), want in classes:
+        if cls != want:
             raise ParseError("classes are not the final coloring's partition", lineno)
     if converged_at is not None and not 1 <= converged_at < len(colorings):
         raise ParseError(
-            f"converged_at must lie in 1..{len(colorings) - 1}", converged_line
+            f"converged_at must lie in 1..{len(colorings) - 1}", records["converged_at"][0][0]
         )
     trace = RefinementTrace(tuple(checked))
     # a run stops at its first isomorphic step, so no earlier step is one
@@ -389,16 +367,17 @@ def parse_trace(text: str) -> TraceDocument:
         colorings_isomorphic(a, b) is not None for a, b in early
     ):
         message = "converged_at disagrees with the colorings' first isomorphic step"
-        raise ParseError(message, converged_line)
+        raise ParseError(message, records["converged_at"][0][0])
+    edge_colors = records["edge_color"]
     k = len(edge_colors)
     if k and m != 2 * k:
-        raise ParseError(f"m = {m} is not twice the {k} edge_color records", m_line)
+        raise ParseError(f"m = {m} is not twice the {k} edge_color records", records["m"][0][0])
     base = n - k
-    for i, ((u, v, col), lineno) in enumerate(zip(edge_colors, edge_lines)):
+    for i, (lineno, (u, v, col)) in enumerate(edge_colors):
         if not 0 <= u < v < base:
             raise ParseError(f"edge_color pair {u} {v} is not u < v below {base}", lineno)
-        if i and (u, v) <= edge_colors[i - 1][:2]:
+        if i and (u, v) <= edge_colors[i - 1][1][:2]:
             raise ParseError("edge_color pairs are not in increasing order", lineno)
         if col != final.colors[base + i]:
             raise ParseError(f"edge_color {col} is not vertex {base + i}'s final color", lineno)
-    return TraceDocument(trace, m, tuple((u, v) for u, v, _ in edge_colors))
+    return TraceDocument(trace, m, tuple(values[:2] for _, values in edge_colors))

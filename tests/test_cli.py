@@ -107,6 +107,32 @@ def test_refine_dimacs_by_extension(tmp_path, capsys):
     assert capsys.readouterr().out == "n=3 m=3 K_final=1 converged_at=1\n"
 
 
+P4_DIMACS = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
+
+
+def test_refine_format_overrides_the_extension(tmp_path, capsys):
+    txt = write(tmp_path / "g.txt", P4_DIMACS)
+    col = write(tmp_path / "g.col", P4_DIMACS)
+    assert main(["refine", txt, "--trace", str(tmp_path / "bad")]) == 2
+    assert "g.txt: line 1:" in capsys.readouterr().err
+    by_flag, by_suffix = tmp_path / "flag.trace", tmp_path / "suffix.trace"
+    assert main(["refine", txt, "--format", "dimacs", "--trace", str(by_flag)]) == 0
+    assert main(["refine", col, "--trace", str(by_suffix)]) == 0
+    # the first line echoes the input path; the records after it agree
+    assert by_flag.read_text().split("\n", 1)[1] == by_suffix.read_text().split("\n", 1)[1]
+
+
+def test_verify_format_overrides_the_extension(tmp_path, capsys):
+    txt = write(tmp_path / "g.txt", P4_DIMACS)
+    col = write(tmp_path / "g.col", P4_DIMACS)
+    stable = write(tmp_path / "c.colors", "0 0\n1 1\n2 1\n3 0\n")
+    assert main(["verify", txt, stable, "--format", "dimacs"]) == 0
+    assert capsys.readouterr().out == "equitable\n"
+    assert main(["verify", col, stable, "--format", "edgelist"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {col}: " in err
+
+
 def test_refine_writes_dot(tmp_path, capsys, p5):
     dot = tmp_path / "p5.dot"
     assert main(["refine", p5, "--trace", str(tmp_path / "t"), "--dot", str(dot)]) == 0

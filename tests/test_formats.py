@@ -431,6 +431,7 @@ def test_parsers_accept_only_ascii_decimal_tokens(case, token, tmp_path, capsys)
 # Graph. Several cases break two rules at once and pin which check wins;
 # "\u2003" (em space) separates fields like a space.
 P31 = "p edge 3 1\n"
+H = "n 1\nm 0\ninitial 0\npalette_sizes 1\ncoloring 0\n"  # a trace up to converged_at
 MESSAGE_CASES = [
     # a range error wins over a self-loop listed before it
     (new_graph, (3, [(1, 1), (0, 7)]), ValueError, "edge (0, 7) outside 0..2"),
@@ -464,6 +465,23 @@ MESSAGE_CASES = [
     (parse_dimacs, (P31 + "e 1 2\np edge 3 1\n",), ParseError, "line 3: duplicate problem line"),
     (parse_dimacs, (P31 + "e 1 2\nx 1\n",), ParseError, "line 3: unrecognized record 'x'"),
     (parse_dimacs, (P31 + "e 1 2\ne 2\n",), ParseError, "line 3: edge line must be 'e <u> <v>'"),
+    # trace records: each check's message, line and precedence
+    (parse_trace, ("n 1\ninitial 0\n",), ParseError, "missing graph summary (n/m records)"),
+    (parse_trace, ("n 1 2\n",), ParseError, "line 1: n needs exactly one value"),
+    (parse_trace, ("n -1\n",), ParseError, "line 1: n must be non-negative"),
+    (parse_trace, (H + "converged_at\n",), ParseError,
+     "line 6: converged_at needs exactly one value"),
+    (parse_trace, (H + "converged_at x\n",), ParseError, "line 6: step 'x' is not an integer"),
+    # tokens are converted before the key is looked up
+    (parse_trace, ("n 1\nbogus x\n",), ParseError, "line 2: value 'x' is not an integer"),
+    (parse_trace, (H.replace("coloring 0", "coloring 1") + "converged_at none\n",), ParseError,
+     "first coloring record must repeat the initial coloring"),
+    (parse_trace, (H.replace("coloring 0\n", "") + "converged_at none\n",), ParseError,
+     "first coloring record must repeat the initial coloring"),
+    (parse_trace, (H + "converged_at none\nclass 0\nedge_color 0 1\n",), ParseError,
+     "line 8: edge_color needs 'u v color'"),
+    (parse_trace, ("n 1\nm 0\npalette_sizes 1\ncoloring 0\nconverged_at none\n",), ParseError,
+     "missing initial, palette_sizes, or converged_at record"),
 ]
 
 

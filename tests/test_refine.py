@@ -4,6 +4,7 @@ import pytest
 
 from colorref import (
     Coloring,
+    Graph,
     coloring_from_labels,
     colorings_isomorphic,
     expand_edges,
@@ -260,7 +261,8 @@ def test_every_start_on_up_to_five_vertices_ends_in_period_one_or_two():
     # The paper's claim checked exhaustively: every labeled graph on n <= 5
     # vertices, from every start partition (54 254 runs), repeats a partition
     # by step max(n, 1) with period 1 or 2. A run converges exactly when the
-    # period is 1, at that repeat, and there the oracle agrees.
+    # period is 1, at that repeat, and there the oracle agrees. The two-step
+    # lemma holds in every run: P_{t+2} refines P_t for each t >= 2.
     periods = Counter()
     for n in range(6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -274,12 +276,48 @@ def test_every_start_on_up_to_five_vertices_ends_in_period_one_or_two():
                 step, period = repeat
                 assert step <= max(n, 1) and period in (1, 2), (n, mask, start.colors)
                 periods[period] += 1
+                cs = t.colorings
+                assert all(is_refinement(cs[s], cs[s + 2]) for s in range(2, len(cs) - 2)), (
+                    n, mask, start.colors)
                 if period == 1:
                     assert t.converged_at == step
                     assert naive_refine(g, start) == partition_of(t.final)
                 else:
                     assert t.converged_at is None
     assert periods == {1: 52190, 2: 2064}
+
+
+def test_two_cycle_alternates_between_different_class_counts():
+    # the states of a period-2 cycle need not be isomorphic: here they have
+    # 5 and 4 classes, so "pairwise isomorphic" can only relate t and t + 2
+    g = new_graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5)])
+    t = refine_to_fixpoint(g, coloring_from_labels([2, 0, 2, 1, 2, 2]))
+    assert t.converged_at is None
+    assert t.palette_sizes == (3, 4, 5, 4, 5, 4, 5, 4, 5)
+    parts = [partition_of(c) for c in t.colorings]
+    assert parts[2::2] == [((0,), (1,), (2,), (3,), (4, 5))] * 4
+    assert parts[1::2] == [((0, 3), (1, 2), (4,), (5,))] * 4
+
+
+def test_two_step_lemma_needs_two_steps_of_history():
+    # P_3 does not refine P_1, so the lemma "P_{t+2} refines P_t" starts at t = 2
+    g = new_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
+                      (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)])
+    states = [coloring_from_labels([0, 1, 0, 0, 1, 1])]
+    for _ in range(9):
+        states.append(refine_step(g, states[-1]))
+    assert not is_refinement(states[1], states[3])
+    assert all(is_refinement(states[t], states[t + 2]) for t in range(2, 8))
+
+
+def test_directed_cycle_has_period_five():
+    # out-rows of the directed cycle 1->2->3->5->4->1 plus an isolated 0: with
+    # arcs listed from one end only the period is not bounded by 2, so the
+    # lemma has to rest on every edge being listed from both ends
+    g = Graph._unchecked(6, ((), (2,), (3,), (5,), (1,), (4,)))
+    t = refine_to_fixpoint(g, coloring_from_labels([0, 2, 1, 3, 1, 2]))
+    assert t.converged_at is None
+    assert first_repeat(t.colorings) == (5, 5)
 
 
 def test_find_inequitable_pair_examples():
