@@ -44,7 +44,7 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -56,7 +56,7 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
 def _load(path: str, parse, *args):
     # a decode error of the read is a ValueError too, so it names the file
     try:
-        return parse(Path(path).read_text(), *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

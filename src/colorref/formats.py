@@ -28,12 +28,14 @@ All emitters are pure functions of their inputs, apart from writing to
 from __future__ import annotations
 
 import colorsys
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import TextIO
 
 from .coloring import Coloring, coloring_from_labels, colorings_isomorphic, partition_of
-from .graph import Graph, new_graph
+from .graph import Graph, _rows
 from .refine import RefinementTrace
 
 
@@ -47,11 +49,23 @@ class ParseError(ValueError):
         self.line = line
 
 
+# Characters per str.splitlines call: bounds the lines held at once.
+_CHUNK = 1 << 16
+
+
 def _content_lines(text: str, comment: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts and not parts[0].startswith(comment):
-            yield lineno, parts
+    # Each chunk ends just after a "\n", which is a line break for
+    # splitlines too and never splits a "\r\n", so the lines and their
+    # numbers are exactly those of text.splitlines().
+    start, first = 0, 1
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        lines = text[start:cut].splitlines()
+        for lineno, raw in enumerate(lines, first):
+            parts = raw.split()
+            if parts and not parts[0].startswith(comment):
+                yield lineno, parts
+        start, first = cut, first + len(lines)
 
 
 def _strict_int(token: str) -> int:
@@ -81,10 +95,15 @@ def _int_field(token: str, what: str, lineno: int) -> int:
         raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
 
 
+# No list can hold more vertices than this, so no larger count is built.
+_TOO_MANY = f"vertex count must be at most {sys.maxsize}"
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format described in the module docstring."""
     declared: int | None = None
-    edges: list[tuple[int, int, int]] = []
+    ends: list[int] = []  # u, v of each edge in turn: no tuple per edge
+    lines = array("q")  # the line of each edge
     max_id = -1
     to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "#"):
@@ -96,6 +115,7 @@ def parse_edge_list(text: str) -> Graph:
             declared = _int_field(parts[1], "vertex count", lineno)
             if declared < 0:
                 raise ParseError("vertex count must be non-negative", lineno)
+            header_line = lineno
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {' '.join(parts)!r}", lineno)
@@ -108,21 +128,29 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError("vertex ids must be non-negative", lineno)
         if u == v:
             raise ParseError(f"self-loop {u} {v}", lineno)
-        edges.append((u, v, lineno))
+        ends += (u, v)
+        lines.append(lineno)
         max_id = max(max_id, u, v)
+    if declared is not None and declared > sys.maxsize:
+        raise ParseError(_TOO_MANY, header_line)
     n = declared if declared is not None else max_id + 1
-    for u, v, lineno in edges:
-        if u >= n or v >= n:
-            raise ParseError(
-                f"vertex id {max(u, v)} exceeds declared count {n}", lineno
-            )
-    return new_graph(n, [(u, v) for u, v, _ in edges])
+    if max_id >= min(n, sys.maxsize):
+        # name the first edge with an end beyond the declared count or,
+        # with no header, with an end that makes the count too large
+        it = iter(ends)
+        for lineno, u, v in zip(lines, it, it):
+            w = max(u, v)
+            if w >= n:
+                raise ParseError(f"vertex id {w} exceeds declared count {n}", lineno)
+            if w >= sys.maxsize:
+                raise ParseError(_TOO_MANY, lineno)
+    return Graph._unchecked(n, _rows(n, ends))
 
 
 def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
-    ends: list[int] = []  # u, v of each edge in turn: no tuple per edge
+    ends = array("q")  # u, v of each edge in turn, 8 bytes each
     to_int = _int_reader(text)
     for lineno, parts in _content_lines(text, "c"):
         if parts[0] == "p":
@@ -134,6 +162,8 @@ def parse_dimacs(text: str) -> Graph:
             _int_field(parts[3], "edge count", lineno)
             if n < 0:
                 raise ParseError("vertex count must be non-negative", lineno)
+            if n > sys.maxsize:  # also keeps every id within ends' 64 bits
+                raise ParseError(_TOO_MANY, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line precedes the problem line", lineno)
@@ -148,13 +178,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"vertex id outside 1..{n}", lineno)
             if u == v:
                 raise ParseError(f"self-loop {u} {v}", lineno)
-            ends += (u - 1, v - 1)
+            ends.append(u - 1)
+            ends.append(v - 1)
         else:
             raise ParseError(f"unrecognized record {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    it = iter(ends)
-    return new_graph(n, zip(it, it))
+    return Graph._unchecked(n, _rows(n, ends))
 
 
 def parse_coloring(text: str, vertex_count: int | None = None) -> Coloring:

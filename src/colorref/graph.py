@@ -12,9 +12,10 @@ class Graph:
 
     ``adjacency[v]`` is the strictly increasing tuple of neighbours of ``v``.
     ``Graph(...)`` checks all of this: range, order, self-loops and that
-    every edge is listed from both ends. ``new_graph`` and ``expand_edges``
-    build their rows correct by construction and skip that check. Instances
-    are never mutated, so they are safe to share between concurrent readers.
+    every edge is listed from both ends. ``new_graph``, ``expand_edges`` and
+    the graph parsers build their rows correct by construction and skip that
+    check. Instances are never mutated, so they are safe to share between
+    concurrent readers.
     """
 
     vertex_count: int
@@ -67,6 +68,23 @@ class Graph:
         ]
 
 
+def _rows(vertex_count: int, ends) -> tuple[tuple[int, ...], ...]:
+    # Rows of the edges whose 0-based ends u, v come in turn from ``ends``,
+    # every one already checked to lie in range and to be no self-loop.
+    # Sorted and duplicate-free by construction; each entry is the one int
+    # object of its vertex, not one object per edge end.
+    ids = list(range(vertex_count))
+    rows: list = [[] for _ in ids]
+    it = iter(ends)
+    for u, v in zip(it, it):
+        rows[u].append(ids[v])
+        rows[v].append(ids[u])
+    # rows become tuples one by one, freeing each list as it goes
+    for u, row in enumerate(rows):
+        rows[u] = tuple(sorted(set(row)))
+    return tuple(rows)
+
+
 def new_graph(vertex_count: int, edges) -> Graph:
     """Build a graph from unordered id pairs.
 
@@ -76,7 +94,7 @@ def new_graph(vertex_count: int, edges) -> Graph:
     are the only checks: the rows it builds are sorted, duplicate-free and
     symmetric by construction, so ``Graph``'s own check is skipped.
     """
-    rows: list[list[int]] = [[] for _ in range(vertex_count)]
+    ends: list[int] = []
     loops: list[int] = []
     for u, v in edges:
         # a negative id would index rows from the end
@@ -84,13 +102,12 @@ def new_graph(vertex_count: int, edges) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
         if u == v:
             loops.append(u)
-        rows[u].append(v)
-        rows[v].append(u)
+        ends += (u, v)
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
     if loops:
         raise ValueError(f"self-loop at vertex {min(loops)}")
-    return Graph._unchecked(vertex_count, tuple(tuple(sorted(set(row))) for row in rows))
+    return Graph._unchecked(vertex_count, _rows(vertex_count, ends))
 
 
 def expand_edges(g: Graph) -> Graph:

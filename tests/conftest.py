@@ -4,6 +4,9 @@ import tracemalloc
 from colorref import Coloring, emit_trace_document, new_graph, refine_to_fixpoint
 
 
+HUGE = 10**20  # a vertex id or count above sys.maxsize and beyond 64 bits
+
+
 def path_graph(n):
     return new_graph(n, [(i, i + 1) for i in range(n - 1)])
 

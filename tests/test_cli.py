@@ -5,7 +5,7 @@ import pytest
 
 from colorref import parse_edge_list, parse_trace, partition_of
 from colorref.cli import _write_atomic, main
-from conftest import edge_colors
+from conftest import HUGE, edge_colors
 
 
 def write(path, text):
@@ -242,6 +242,58 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "n=5 m=4 K_final=3 converged_at=3\n"
+
+
+def test_cli_files_name_their_encoding(tmp_path, p5):
+    # an EncodingWarning, raised as an error, would mean a read or write
+    # took the locale's encoding
+    colors = write(tmp_path / "p5.colors", "0 0\n1 1\n2 2\n3 1\n4 0\n")
+    runs = [
+        (["refine", p5, "--trace", str(tmp_path / "t"), "--dot", str(tmp_path / "d")],
+         "n=5 m=4 K_final=3 converged_at=3\n"),
+        (["verify", p5, colors], "equitable\n"),
+    ]
+    for command, out in runs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "colorref", *command],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+# file name: its text and the line its error names
+HOSTILE_COUNTS = {
+    "big.col": ("p edge 999999999 0\nx\n", 2),
+    "huge.col": (f"p edge {HUGE} 1\ne 1 {HUGE}\nx\n", 1),
+    "huge.edges": (f"0 {HUGE}\n", 1),
+    "huge-then-bad.edges": (f"0 {HUGE}\nx y z\n", 2),
+    "header.edges": (f"n {HUGE}\n0 1\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_COUNTS))
+def test_hostile_vertex_counts_exit_2_naming_the_line(tmp_path, name):
+    text, line = HOSTILE_COUNTS[name]
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+
+    def cap_memory():
+        # a list per vertex fails at once with MemoryError, not by
+        # exhausting the host
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = write(tmp_path / name, text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorref", "refine", path, "--trace", str(tmp_path / "t")],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: line {line}: ")
+    assert proc.stderr.count("\n") == 1  # one line: no traceback
 
 
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from colorref import (
@@ -22,7 +24,16 @@ from colorref import (
     zero_coloring,
 )
 from colorref.cli import main
-from conftest import complete_graph, edge_colors, emitted, path_graph, peak_bytes
+from colorref.formats import _CHUNK
+from conftest import (
+    HUGE,
+    complete_graph,
+    cycle_graph,
+    edge_colors,
+    emitted,
+    path_graph,
+    peak_bytes,
+)
 
 
 def test_parse_edge_list_basic():
@@ -248,6 +259,36 @@ def test_emitting_into_a_stream_holds_no_whole_trace():
     assert peak_bytes(emit_trace_document, doc, _Discard()) < size / 2
 
 
+def _dimacs(g):
+    return f"p edge {g.vertex_count} {g.edge_count}\n" + "".join(
+        f"e {u + 1} {v + 1}\n" for u, v in g.edges()
+    )
+
+
+def _expanded_torus(a):
+    return expand_edges(new_graph(a * a, [
+        (i * a + j, x * a + y)
+        for i in range(a) for j in range(a)
+        for x, y in ((i, (j + 1) % a), ((i + 1) % a, j))
+    ]))
+
+
+def test_parsed_and_built_graphs_hold_one_int_per_vertex():
+    # Python caches no int above 256, and cycle_graph's ends are fresh ints
+    g = cycle_graph(600)
+    for built in (g, parse_edge_list(emit_edge_list(g)), parse_dimacs(_dimacs(g))):
+        assert built == g
+        assert len({id(x) for row in built.adjacency for x in row}) <= built.vertex_count
+
+
+def test_parsing_dimacs_holds_neither_all_lines_nor_an_int_per_edge_end():
+    text = _dimacs(_expanded_torus(60))
+    # measured on C_60 x C_60 expanded: about 16 bytes per character of text
+    # with every line held at once and an int object per edge end, about 10
+    # with the lines read a chunk at a time, 64-bit ends and shared ints
+    assert peak_bytes(parse_dimacs, text) < 12.5 * len(text)
+
+
 def test_trace_document_rejects_an_original_it_was_not_expanded_from():
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
@@ -425,6 +466,11 @@ def test_parsers_accept_only_ascii_decimal_tokens(case, token, tmp_path, capsys)
     assert f"{path}: line 2:" in err
 
 
+def _one_chunk(head, comment):
+    # head and a comment line that ends it at exactly one chunk of the
+    # line reader, so the next line starts the second chunk
+    return head + comment + " " * (_CHUNK - len(head) - 2) + "\n"
+
 
 # Exact messages, recorded before the parsers converted with int() alone on
 # ASCII text without "_", and before new_graph took its checks over from
@@ -482,6 +528,18 @@ MESSAGE_CASES = [
      "line 8: edge_color needs 'u v color'"),
     (parse_trace, ("n 1\nm 0\npalette_sizes 1\ncoloring 0\nconverged_at none\n",), ParseError,
      "missing initial, palette_sizes, or converged_at record"),
+    # the first line of the reader's second chunk is numbered on from the first
+    (parse_edge_list, (_one_chunk("0 1\n" * 10000, "#") + "1 1\n",), ParseError,
+     "line 10002: self-loop 1 1"),
+    (parse_dimacs, (_one_chunk(P31 + "e 1 2\n" * 10000, "c") + "e 2 2\n",), ParseError,
+     "line 10003: self-loop 2 2"),
+    # hostile counts: each fails before a list per vertex is made
+    (parse_dimacs, ("p edge 999999999 0\nx\n",), ParseError, "line 2: unrecognized record 'x'"),
+    (parse_dimacs, (f"p edge {HUGE} 1\ne 1 {HUGE}\nx\n",), ParseError,
+     f"line 1: vertex count must be at most {sys.maxsize}"),
+    (parse_edge_list, (f"0 {HUGE}\nx y z\n",), ParseError, "line 2: expected 'u v', got 'x y z'"),
+    (parse_edge_list, (f"n {HUGE}\n0 {HUGE}0\n",), ParseError,
+     f"line 1: vertex count must be at most {sys.maxsize}"),
 ]
 
 

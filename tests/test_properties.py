@@ -28,6 +28,7 @@ from colorref import (
     violation_witness,
     zero_coloring,
 )
+from colorref import formats
 from conftest import (
     brute_inequitable_pair,
     brute_portrait,
@@ -316,6 +317,33 @@ def test_one_step_convergence_agrees_with_step_isomorphism(gc):
     # classes share a portrait, so only this direction is asserted
     if one_step:
         assert find_inequitable_pair(g, c) is None
+
+
+# Every line break str.splitlines knows, "\r\n" among them.
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+
+
+# The reader splits a chunk at a time; with chunks of 1 to 8 characters a
+# chunk's nominal end falls next to every kind of break and inside "\r\n".
+@given(
+    st.lists(st.sampled_from(["0", "12", "#", "c", "#1", "c 2", " ", "\t", *LINE_BREAKS])).map(
+        "".join
+    ),
+    st.integers(1, 8),
+    st.sampled_from(["#", "c"]),
+)
+@settings(max_examples=300)
+def test_chunked_lines_are_those_of_splitlines(text, chunk, comment):
+    want = [
+        (lineno, raw.split())
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if raw.split() and not raw.split()[0].startswith(comment)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        assert list(formats._content_lines(text, comment)) == want
 
 
 # Parser fuzzing: lines of a record key and up to four tokens, either all
