@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Callable
@@ -44,6 +45,15 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        # mkstemp makes the file 0600: give it the mode of the file it
+        # replaces, or else the one open() gives a new file
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)
         os.replace(tmp, path)
@@ -54,9 +64,11 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
 
 
 def _load(path: str, parse, *args):
-    # a decode error of the read is a ValueError too, so it names the file
+    # the parser reads the open file a chunk at a time; a decode error of a
+    # read is a ValueError too, so it names the file
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

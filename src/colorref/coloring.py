@@ -54,9 +54,10 @@ def coloring_from_labels(labels) -> Coloring:
     Classes keep the order of their original labels: the smallest label
     becomes color 0, the next one color 1, and so on.
     """
-    labels = list(labels)
+    if not isinstance(labels, (list, tuple)):  # read twice below
+        labels = list(labels)
     rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-    return Coloring._unchecked(tuple(rank[lab] for lab in labels), len(rank))
+    return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(rank))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ Trace document
     emit_trace_document writes the records into a text stream ``out`` as
     it builds them, so a trace never has to be held in memory whole.
 
-All emitters are pure functions of their inputs, apart from writing to
-``out``, and produce byte-identical output for equal inputs.
+Every parser takes the text or a text stream, which it reads once, a
+chunk at a time. All emitters are pure functions of their inputs, apart
+from writing to ``out``, and produce byte-identical output for equal inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import colorsys
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import TextIO
 
 from .coloring import Coloring, coloring_from_labels, colorings_isomorphic, partition_of
@@ -49,23 +50,58 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Characters per str.splitlines call: bounds the lines held at once.
+# Characters per read of a text stream and per str.splitlines call: bounds
+# the text and the lines held at once.
 _CHUNK = 1 << 16
 
 
-def _content_lines(text: str, comment: str):
-    # Each chunk ends just after a "\n", which is a line break for
-    # splitlines too and never splits a "\r\n", so the lines and their
-    # numbers are exactly those of text.splitlines().
-    start, first = 0, 1
-    while start < len(text):
-        cut = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        lines = text[start:cut].splitlines()
+def _blocks(source: str | TextIO):
+    # Pieces of ``source``, a str or a text stream, of about _CHUNK
+    # characters, each ending just after a "\n" except the last. A "\n" is a
+    # line break for splitlines too and never splits a "\r\n", so the lines
+    # of the pieces and their numbers are exactly those of the whole text's
+    # splitlines().
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            cut = source.find("\n", start + _CHUNK - 1) + 1 or len(source)
+            yield source[start:cut]
+            start = cut
+        return
+    parts: list[str] = []
+    while data := source.read(_CHUNK):
+        cut = data.rfind("\n") + 1
+        if cut:
+            parts.append(data[:cut])
+            yield "".join(parts)
+            parts = [data[cut:]]
+        else:
+            parts.append(data)
+    if last := "".join(parts):
+        yield last
+
+
+def _content_lines(source: str | TextIO, comment: str, ints: list | None = None):
+    """Yield ``(line number, fields)`` of each line that is neither blank
+    nor a comment.
+
+    If ``ints`` is given, ``ints[0]`` is set before each piece's lines to
+    the token converter for that piece: ``int`` itself where it is exact.
+    On a whitespace-free token int() accepts more than [+-]?[0-9]+ only
+    through "_" separators and non-ASCII digits, so on ASCII text without
+    "_" it is exact. Callers convert with it and on ValueError convert
+    again with ``_int_field``, which raises the ParseError.
+    """
+    first = 1
+    for block in _blocks(source):
+        if ints is not None:
+            ints[0] = int if block.isascii() and "_" not in block else _strict_int
+        lines = block.splitlines()
         for lineno, raw in enumerate(lines, first):
             parts = raw.split()
             if parts and not parts[0].startswith(comment):
                 yield lineno, parts
-        start, first = cut, first + len(lines)
+        first += len(lines)
 
 
 def _strict_int(token: str) -> int:
@@ -75,17 +111,6 @@ def _strict_int(token: str) -> int:
     if digits.isascii() and digits.isdigit():
         return int(token)  # ValueError for more digits than int() will convert
     raise ValueError(token)
-
-
-def _int_reader(text: str):
-    """The token converter for ``text``: ``int`` itself where it is exact.
-
-    On a whitespace-free token int() accepts more than [+-]?[0-9]+ only
-    through "_" separators and non-ASCII digits, so for ASCII text without
-    "_" it is exact. Callers convert with it and on ValueError convert
-    again with ``_int_field``, which raises the ParseError.
-    """
-    return int if text.isascii() and "_" not in text else _strict_int
 
 
 def _int_field(token: str, what: str, lineno: int) -> int:
@@ -99,14 +124,15 @@ def _int_field(token: str, what: str, lineno: int) -> int:
 _TOO_MANY = f"vertex count must be at most {sys.maxsize}"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(source: str | TextIO) -> Graph:
     """Parse the edge-list format described in the module docstring."""
     declared: int | None = None
-    ends: list[int] = []  # u, v of each edge in turn: no tuple per edge
+    ends = array("q")  # u, v of each edge in turn, 8 bytes each
     lines = array("q")  # the line of each edge
+    wide: dict[int, int] = {}  # line: larger end, of each edge with one past 64 bits
     max_id = -1
-    to_int = _int_reader(text)
-    for lineno, parts in _content_lines(text, "#"):
+    ints = [int]
+    for lineno, parts in _content_lines(source, "#", ints):
         if parts[0] == "n":
             if declared is not None:
                 raise ParseError("duplicate vertex-count header", lineno)
@@ -120,7 +146,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {' '.join(parts)!r}", lineno)
         try:
-            u, v = to_int(parts[0]), to_int(parts[1])
+            u, v = ints[0](parts[0]), ints[0](parts[1])
         except ValueError:
             u = _int_field(parts[0], "vertex id", lineno)
             v = _int_field(parts[1], "vertex id", lineno)
@@ -128,9 +154,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError("vertex ids must be non-negative", lineno)
         if u == v:
             raise ParseError(f"self-loop {u} {v}", lineno)
-        ends += (u, v)
-        lines.append(lineno)
         max_id = max(max_id, u, v)
+        if max_id > sys.maxsize and max(u, v) > sys.maxsize:
+            # such an edge always fails the count checks below
+            wide[lineno] = max(u, v)
+            u = v = 0
+        ends.append(u)
+        ends.append(v)
+        lines.append(lineno)
     if declared is not None and declared > sys.maxsize:
         raise ParseError(_TOO_MANY, header_line)
     n = declared if declared is not None else max_id + 1
@@ -139,7 +170,7 @@ def parse_edge_list(text: str) -> Graph:
         # with no header, with an end that makes the count too large
         it = iter(ends)
         for lineno, u, v in zip(lines, it, it):
-            w = max(u, v)
+            w = wide.get(lineno) or max(u, v)
             if w >= n:
                 raise ParseError(f"vertex id {w} exceeds declared count {n}", lineno)
             if w >= sys.maxsize:
@@ -147,12 +178,11 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._unchecked(n, _rows(n, ends))
 
 
-def parse_dimacs(text: str) -> Graph:
+def parse_dimacs(source: str | TextIO) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
-    ends = array("q")  # u, v of each edge in turn, 8 bytes each
-    to_int = _int_reader(text)
-    for lineno, parts in _content_lines(text, "c"):
+    ints = [int]
+    for lineno, parts in _content_lines(source, "c", ints):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -164,13 +194,15 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("vertex count must be non-negative", lineno)
             if n > sys.maxsize:  # also keeps every id within ends' 64 bits
                 raise ParseError(_TOO_MANY, lineno)
+            # u, v of each edge in turn: 4 bytes each where they fit
+            ends = array("i" if n <= 1 << 31 else "q")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line precedes the problem line", lineno)
             if len(parts) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
             try:
-                u, v = to_int(parts[1]), to_int(parts[2])
+                u, v = ints[0](parts[1]), ints[0](parts[2])
             except ValueError:
                 u = _int_field(parts[1], "vertex id", lineno)
                 v = _int_field(parts[2], "vertex id", lineno)
@@ -187,19 +219,22 @@ def parse_dimacs(text: str) -> Graph:
     return Graph._unchecked(n, _rows(n, ends))
 
 
-def parse_coloring(text: str, vertex_count: int | None = None) -> Coloring:
+def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Coloring:
     """Parse ``v c`` assignment lines into a compacted coloring.
 
     When ``vertex_count`` is None it is inferred as the number of
     assignments, which must then cover exactly 0..n-1.
     """
-    assignments: dict[int, int] = {}
-    to_int = _int_reader(text)
-    for lineno, parts in _content_lines(text, "#"):
+    # labels[v] for each v below the number of assignments read so far,
+    # None while unassigned; ahead holds the ids read at or past that number
+    labels: list = []
+    ahead: dict[int, int] = {}
+    ints = [int]
+    for lineno, parts in _content_lines(source, "#", ints):
         if len(parts) != 2:
             raise ParseError(f"expected 'v c', got {' '.join(parts)!r}", lineno)
         try:
-            v, label = to_int(parts[0]), to_int(parts[1])
+            v, label = ints[0](parts[0]), ints[0](parts[1])
         except ValueError:
             v = _int_field(parts[0], "vertex id", lineno)
             label = _int_field(parts[1], "color", lineno)
@@ -207,17 +242,28 @@ def parse_coloring(text: str, vertex_count: int | None = None) -> Coloring:
             raise ParseError("vertex ids must be non-negative", lineno)
         if vertex_count is not None and v >= vertex_count:
             raise ParseError(f"vertex id {v} outside 0..{vertex_count - 1}", lineno)
-        if v in assignments:
+        labels.append(ahead.pop(len(labels), None) if ahead else None)
+        if v < len(labels):
+            if labels[v] is not None:
+                raise ParseError(f"duplicate assignment for vertex {v}", lineno)
+            labels[v] = label
+        elif v in ahead:
             raise ParseError(f"duplicate assignment for vertex {v}", lineno)
-        assignments[v] = label
-    n = vertex_count if vertex_count is not None else len(assignments)
-    for v in assignments:
+        else:
+            ahead[v] = label
+    # every id left ahead is at least the number of assignments, so the
+    # first of them is the first id in file order outside 0..n-1
+    n = vertex_count if vertex_count is not None else len(labels)
+    for v in ahead:
         if v >= n:
             raise ParseError(f"vertex id {v} outside 0..{n - 1} ({n} assignments)")
-    for v in range(n):
-        if v not in assignments:
-            raise ParseError(f"missing assignment for vertex {v}")
-    return coloring_from_labels(assignments[v] for v in range(n))
+    if len(labels) < n:
+        # each line fills a slot or holds an id ahead, which leaves a slot
+        # None: the smallest unassigned id is the first None, else the
+        # first id past the slots
+        v = labels.index(None) if ahead else len(labels)
+        raise ParseError(f"missing assignment for vertex {v}")
+    return coloring_from_labels(labels)
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -288,15 +334,22 @@ def trace_document(
 
 
 # Values per write of a long record: bounds the text a record holds at once.
-_SLICE = 4096
+_SLICE = 1024
 
 
-def _write_record(write, key: str, values: tuple[int, ...]) -> None:
+def _write_record(write, key: str, values) -> None:
     write(key)
-    for i in range(0, len(values), _SLICE):
-        part = values[i:i + _SLICE]
+    it = iter(values)
+    while part := tuple(islice(it, _SLICE)):
         write(" %d" * len(part) % part)  # one pass, no str per value
     write("\n")
+
+
+def _members(after: array, v: int):
+    # v and the vertices after it in its class, following ``after``
+    while v >= 0:
+        yield v
+        v = after[v]
 
 
 def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
@@ -307,21 +360,31 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     """
     write, trace = out.write, doc.trace
     final = trace.final.colors
-    write(f"n {len(final)}\nm {doc.edge_count}\n")
+    n = len(final)
+    write(f"n {n}\nm {doc.edge_count}\n")
     _write_record(write, "initial", trace.colorings[0].colors)
     _write_record(write, "palette_sizes", trace.palette_sizes)
     for coloring in trace.colorings:
         _write_record(write, "coloring", coloring.colors)
     marker = "none" if trace.converged_at is None else str(trace.converged_at)
     write(f"converged_at {marker}\n")
-    for cls in partition_of(trace.final):
-        _write_record(write, "class", cls)
-    for w, (u, v) in enumerate(doc.edges, len(final) - len(doc.edges)):
+    # the classes of partition_of(trace.final), without a list and a tuple
+    # per class: after[v] is the next vertex of v's color, -1 past the last,
+    # and head[c] the first vertex of color c
+    after = array("q", [-1]) * n
+    head = [-1] * trace.final.palette_size
+    for v in range(n - 1, -1, -1):
+        c = final[v]
+        after[v] = head[c]
+        head[c] = v
+    for v in sorted(head):
+        _write_record(write, "class", _members(after, v))
+    for w, (u, v) in enumerate(doc.edges, n - len(doc.edges)):
         write(f"edge_color {u} {v} {final[w]}\n")
 
 
-def parse_trace(text: str) -> TraceDocument:
-    """Parse trace-document text back into an equal TraceDocument.
+def parse_trace(source: str | TextIO) -> TraceDocument:
+    """Parse trace-document text, or a text stream, back into an equal TraceDocument.
 
     Besides the syntax, the records must agree: ``n``, ``m``, ``initial``,
     ``palette_sizes`` and ``converged_at`` appear once each and ``n`` and
@@ -339,7 +402,7 @@ def parse_trace(text: str) -> TraceDocument:
     # each record as (line number, values): the checks after the loop name
     # the line of the record they reject
     records: dict[str, list] = {key: [] for key in (*single, "coloring", "class", "edge_color")}
-    for lineno, parts in _content_lines(text, "#"):
+    for lineno, parts in _content_lines(source, "#"):
         key, tokens = parts[0], parts[1:]
         if key in single and records[key]:
             raise ParseError(f"duplicate {key} record", lineno)

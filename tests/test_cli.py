@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 
@@ -5,6 +7,7 @@ import pytest
 
 from colorref import parse_edge_list, parse_trace, partition_of
 from colorref.cli import _write_atomic, main
+from colorref.formats import _CHUNK
 from conftest import HUGE, edge_colors
 
 
@@ -99,6 +102,40 @@ def test_undecodable_graph_file_is_named(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {bad}: ") and "can't decode" in err
     assert not (tmp_path / "bad.edges.trace").exists()
+
+
+def test_undecodable_block_counts_the_position_from_the_block(tmp_path, capsys):
+    # the file is read a chunk at a time, so the codec names the position of
+    # the byte in the block it was decoding: of ASCII text, a whole number of
+    # _CHUNK-byte reads precede that block
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n" * 29999 + b"\xff\n")
+    offset = 4 * 29999
+    assert offset > _CHUNK
+    assert main(["refine", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position"
+        f" {offset % _CHUNK}: invalid start byte\n"
+    )
+
+
+def test_a_fault_before_the_undecodable_block_is_reported_first(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n1 1\n" + b"0 1\n" * 40000 + b"\xff\n")
+    assert main(["refine", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: self-loop 1 1\n"
+
+
+def test_line_ends_of_every_platform_read_alike(tmp_path, capsys):
+    # text mode turns "\r\n" and "\r" into "\n", and the line numbers stay
+    # those of splitlines
+    mixed = tmp_path / "mixed.edges"
+    mixed.write_bytes(b"0 1\r\n1 2\r2 3\n3 4\r\n")
+    assert main(["refine", str(mixed), "--trace", str(tmp_path / "t")]) == 0
+    assert capsys.readouterr().out == "n=5 m=4 K_final=3 converged_at=3\n"
+    mixed.write_bytes(b"0 1\r\n1 2\r2 2\n")
+    assert main(["refine", str(mixed)]) == 2
+    assert capsys.readouterr().err == f"error: {mixed}: line 3: self-loop 2 2\n"
 
 
 def test_refine_dimacs_by_extension(tmp_path, capsys):
@@ -313,3 +350,30 @@ def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
         _write_atomic(tmp_path / "old.trace", writer)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old.trace"]
     assert (tmp_path / "old.trace").read_text() == "old\n"
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_output_files_follow_the_umask(tmp_path, capsys, p5, umask):
+    trace, dot, gen = tmp_path / "t", tmp_path / "d", tmp_path / "g.edges"
+    assert main(["refine", p5, "--trace", str(trace), "--dot", str(dot)]) == 0
+    assert main(["gen", "5", "0.5", "--out", str(gen)]) == 0
+    assert main(["search", "--max-n", "4", "--attempts", "500", "--seed", "1",
+                 "--out", str(tmp_path / "w")]) == 0
+    written = [trace, dot, gen, *(tmp_path / "w").iterdir()]
+    assert len(written) == 6
+    assert {stat.S_IMODE(path.stat().st_mode) for path in written} == {0o666 & ~umask}
+
+
+def test_a_replaced_output_file_keeps_its_mode(tmp_path, umask):
+    old = tmp_path / "old.trace"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    _write_atomic(old, lambda fh: fh.write("new\n"))
+    assert old.read_text() == "new\n"
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640

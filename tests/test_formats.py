@@ -289,6 +289,43 @@ def test_parsing_dimacs_holds_neither_all_lines_nor_an_int_per_edge_end():
     assert peak_bytes(parse_dimacs, text) < 12.5 * len(text)
 
 
+def test_emitting_class_records_holds_no_list_per_class():
+    x = _expanded_torus(60)
+    doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), x)
+    # measured on these 10 800 vertices: about 44 bytes per vertex with
+    # partition_of's classes all held at once, about 16 with one array slot
+    # per vertex and one slice of a class at a time
+    assert peak_bytes(emit_trace_document, doc, _Discard()) < 28 * x.vertex_count
+
+
+def test_parsing_a_coloring_holds_one_slot_per_vertex():
+    n = 43200
+    text = "".join(f"{v} {v % 2}\n" for v in range(n))
+    # measured: about 78 bytes per assignment with a dict entry and an int
+    # per vertex, about 32 with one list slot per vertex and the text read
+    # a chunk at a time
+    for count in (n, None):
+        assert peak_bytes(parse_coloring, text, count) < 50 * n
+
+
+def test_parsing_dimacs_from_an_open_file_holds_less_than_its_text(tmp_path):
+    # an edge line and a comment line per edge of the expanded C_60 x C_60
+    # torus: 2.6 MB of text for a graph that takes about 1.5 MB
+    note = "c " + "-" * 160 + "\n"
+    text = _dimacs(_expanded_torus(60)).replace("\ne", f"\n{note}e")
+    path = tmp_path / "g.col"
+    path.write_text(text)
+
+    def parse_file():
+        with open(path, encoding="utf-8") as fh:
+            return parse_dimacs(fh)
+
+    # measured: 5.0 MB when the file is read whole first (its bytes and its
+    # text at once), about 1.6 MB when it is read a chunk at a time
+    assert peak_bytes(parse_file) < len(text)
+    assert parse_file() == parse_dimacs(text)
+
+
 def test_trace_document_rejects_an_original_it_was_not_expanded_from():
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
@@ -540,6 +577,68 @@ MESSAGE_CASES = [
     (parse_edge_list, (f"0 {HUGE}\nx y z\n",), ParseError, "line 2: expected 'u v', got 'x y z'"),
     (parse_edge_list, (f"n {HUGE}\n0 {HUGE}0\n",), ParseError,
      f"line 1: vertex count must be at most {sys.maxsize}"),
+    # int() alone converts a chunk only where it is exact: a "_" or a
+    # non-ASCII digit in the second chunk is refused after a first without
+    (parse_edge_list, (_one_chunk("0 1\n" * 10000, "#") + "1 1_0\n",), ParseError,
+     "line 10002: vertex id '1_0' is not an integer"),
+    (parse_dimacs, (_one_chunk(P31 + "e 1 2\n" * 10000, "c") + "e 2 \u0661\n",), ParseError,
+     "line 10003: vertex id '\u0661' is not an integer"),
+    (parse_coloring, (_one_chunk("".join(f"{v} 0\n" for v in range(9000)), "#") + "9000 1_0\n",),
+     ParseError, "line 9002: color '1_0' is not an integer"),
+    # ends at and past 2**31 are kept whole while the file is read on
+    (parse_dimacs, ("p edge 2147483648 1\ne 1 2147483648\nx\n",), ParseError,
+     "line 3: unrecognized record 'x'"),
+    (parse_dimacs, ("p edge 2147483649 1\ne 2147483649 1\nx\n",), ParseError,
+     "line 3: unrecognized record 'x'"),
+    # an id past 64 bits is named as it was read, at its own line
+    (parse_edge_list, (f"n 5\n0 1\n0 {HUGE}\n",), ParseError,
+     f"line 3: vertex id {HUGE} exceeds declared count 5"),
+    (parse_edge_list, (f"n 5\n{HUGE} 0\n0 7\n",), ParseError,
+     f"line 2: vertex id {HUGE} exceeds declared count 5"),
+    (parse_edge_list, (f"n 5\n0 7\n0 {HUGE}\n",), ParseError,
+     "line 2: vertex id 7 exceeds declared count 5"),
+    (parse_edge_list, (f"0 1\n2 {HUGE}\n3 4\n",), ParseError,
+     f"line 2: vertex count must be at most {sys.maxsize}"),
+    (parse_edge_list, (f"0 {sys.maxsize}\n1 {sys.maxsize + 1}\n",), ParseError,
+     f"line 1: vertex count must be at most {sys.maxsize}"),
+    (parse_edge_list, (f"0 {sys.maxsize - 1}\n1 {HUGE}\n",), ParseError,
+     f"line 2: vertex count must be at most {sys.maxsize}"),
+    # assignments against a vertex count: line faults, in their order, come
+    # before the missing vertex, which is the smallest one unassigned
+    (parse_coloring, ("-1 0\n", 0), ParseError, "line 1: vertex ids must be non-negative"),
+    (parse_coloring, ("0 0\n", 0), ParseError, "line 1: vertex id 0 outside 0..-1"),
+    (parse_coloring, ("0 0\n5 1\n5 1\n", 2), ParseError, "line 2: vertex id 5 outside 0..1"),
+    (parse_coloring, (f"0 0\n{HUGE} 1\n", 2), ParseError, f"line 2: vertex id {HUGE} outside 0..1"),
+    (parse_coloring, ("1 0\n1 0\n9 0\n", 2), ParseError,
+     "line 2: duplicate assignment for vertex 1"),
+    (parse_coloring, ("0 0\nx\n", 3), ParseError, "line 2: expected 'v c', got 'x'"),
+    (parse_coloring, ("", 2), ParseError, "missing assignment for vertex 0"),
+    (parse_coloring, ("2 0\n0 0\n", 4), ParseError, "missing assignment for vertex 1"),
+    (parse_coloring, ("0 0\n1 0\n", 4), ParseError, "missing assignment for vertex 2"),
+    (parse_coloring, ("0 0\n1 0\n3 0\n2 0\n", 6), ParseError, "missing assignment for vertex 4"),
+    (parse_coloring, ("3 0\n2 0\n", 5), ParseError, "missing assignment for vertex 0"),
+    (parse_coloring, ("3 0\n4 0\n0 0\n1 0\n", 5), ParseError, "missing assignment for vertex 2"),
+    # without a count, an id is out of range only once every line is read;
+    # the first such id in file order is named, and no line
+    (parse_coloring, (f"0 0\n{HUGE} 1\n",), ParseError,
+     f"vertex id {HUGE} outside 0..1 (2 assignments)"),
+    (parse_coloring, (f"0 0\n{HUGE} 1\n{HUGE} 2\n",), ParseError,
+     f"line 3: duplicate assignment for vertex {HUGE}"),
+    (parse_coloring, (f"# _\n0 0\n{HUGE} 1\n{HUGE} 2\n",), ParseError,
+     f"line 4: duplicate assignment for vertex {HUGE}"),
+    (parse_coloring, (f"{HUGE} 0\n{HUGE} 1\nx\n",), ParseError,
+     f"line 2: duplicate assignment for vertex {HUGE}"),
+    (parse_coloring, ("5 0\n0 0\n3 0\n",), ParseError, "vertex id 5 outside 0..2 (3 assignments)"),
+    (parse_coloring, ("3 0\n0 0\n5 0\n",), ParseError, "vertex id 3 outside 0..2 (3 assignments)"),
+    (parse_coloring, (f"9 0\n{HUGE} 0\nx\n",), ParseError, "line 3: expected 'v c', got 'x'"),
+    # an id past the lines read so far, repeated before or after the file
+    # reaches it
+    (parse_coloring, ("2 0\n2 1\n0 0\n1 0\n",), ParseError,
+     "line 2: duplicate assignment for vertex 2"),
+    (parse_coloring, ("2 0\n0 0\n1 0\n2 1\n",), ParseError,
+     "line 4: duplicate assignment for vertex 2"),
+    (parse_coloring, ("3 0\n0 0\n1 0\n2 0\n3 1\n",), ParseError,
+     "line 5: duplicate assignment for vertex 3"),
 ]
 
 

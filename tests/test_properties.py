@@ -319,6 +319,19 @@ def test_one_step_convergence_agrees_with_step_isomorphism(gc):
         assert find_inequitable_pair(g, c) is None
 
 
+# The two-step lemma on random graphs and starts past the exhaustive n <= 5
+# range: P_{t+2} refines P_t for every t >= 2, through step n + 4.
+@given(graphs_with_colorings(max_n=12))
+@settings(deadline=None)
+def test_two_steps_refine_the_partition_from_step_two_on(gc):
+    g, c = gc
+    colorings = [c]
+    for _ in range(g.vertex_count + 4):
+        colorings.append(refine_step(g, colorings[-1]))
+    for t in range(2, len(colorings) - 2):
+        assert is_refinement(colorings[t], colorings[t + 2]), t
+
+
 # Every line break str.splitlines knows, "\r\n" among them.
 LINE_BREAKS = [
     "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
@@ -398,3 +411,25 @@ def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
     # a "_" anywhere sends every token through the strict check, which
     # must read the text as int() did
     assert _parse_outcome(parse, f"{text}\n{comment} _\n") == got
+
+
+@st.composite
+def broken_texts(draw, keys):
+    # a fuzz text with each of its line breaks drawn from LINE_BREAKS
+    lines = draw(fuzz_texts(keys)).split("\n")
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+# A parser reads a text stream a chunk at a time; whatever the chunk size
+# and line breaks, it gives the value or the error that the text gives.
+@pytest.mark.parametrize("name", sorted(FUZZ_PARSERS))
+@given(data=st.data(), chunk=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_parsing_a_stream_gives_what_parsing_its_text_gives(name, data, chunk):
+    parse, _, keys = FUZZ_PARSERS[name]
+    text = data.draw(broken_texts(keys), label="text")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        assert _parse_outcome(parse, io.StringIO(text)) == _parse_outcome(parse, text)
