@@ -175,7 +175,7 @@ def parse_edge_list(source: str | TextIO) -> Graph:
                 raise ParseError(f"vertex id {w} exceeds declared count {n}", lineno)
             if w >= sys.maxsize:
                 raise ParseError(_TOO_MANY, lineno)
-    return Graph._unchecked(n, _rows(n, ends))
+    return Graph._csr(n, *_rows(n, ends))
 
 
 def parse_dimacs(source: str | TextIO) -> Graph:
@@ -216,7 +216,7 @@ def parse_dimacs(source: str | TextIO) -> Graph:
             raise ParseError(f"unrecognized record {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    return Graph._unchecked(n, _rows(n, ends))
+    return Graph._csr(n, *_rows(n, ends))
 
 
 def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Coloring:
@@ -324,12 +324,16 @@ def trace_document(
     """
     edges = ()
     if original is not None:
-        base = original.vertex_count
-        if g.vertex_count != base + original.edge_count:
+        base, m = original.vertex_count, original.edge_count
+        # an expansion has the input's degrees and then m rows of 2
+        if g.vertex_count != base + m or g.offsets[base] != 2 * m:
             raise ValueError("g is not the edge expansion of original")
         # the row of virtual vertex w is the pair u < v of the edge it stands
-        # for, so the edges are the virtual rows, shared with g
-        edges = g.adjacency[base:]
+        # for, so the virtual rows are contiguous pairs; each end is mapped to
+        # the one int object of its vertex
+        ids = list(range(base)).__getitem__
+        tail = g.targets[g.offsets[base]:]
+        edges = tuple(zip(map(ids, tail[::2]), map(ids, tail[1::2])))
     return TraceDocument(trace, g.edge_count, edges)
 
 

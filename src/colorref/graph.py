@@ -3,34 +3,60 @@
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, islice, pairwise
+from operator import lt, or_
 
 
-@dataclass(frozen=True)
+def _typecode(top: int) -> str:
+    # array typecode for values 0 .. top: 4 bytes each where they fit
+    return "i" if top < 1 << 31 else "q"
+
+
+def _columns(vertex_count: int, rows) -> tuple[array, array]:
+    # the CSR columns of rows given as a sequence of sequences
+    targets = array(_typecode(vertex_count - 1), chain.from_iterable(rows))
+    lengths = accumulate(map(len, rows), initial=0)
+    return array(_typecode(len(targets)), lengths), targets
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
     """A simple undirected graph on vertices ``0 .. vertex_count - 1``.
 
-    ``adjacency[v]`` is the strictly increasing tuple of neighbours of ``v``.
-    ``Graph(...)`` checks all of this: range, order, self-loops and that
-    every edge is listed from both ends. ``new_graph``, ``expand_edges`` and
-    the graph parsers build their rows correct by construction and skip that
-    check. Instances are never mutated, so they are safe to share between
+    The rows are stored once, in compressed sparse rows (CSR): two flat
+    ``array`` columns, ``offsets`` with ``vertex_count + 1`` entries and
+    ``targets`` with one entry per edge end. The row of ``v``, the strictly
+    increasing neighbours of ``v``, is ``targets[offsets[v]:offsets[v + 1]]``.
+    ``adjacency`` is a view derived from them on first use: the rows as a
+    tuple of tuples, ``adjacency[v]`` that of ``v``.
+
+    ``Graph(vertex_count, adjacency)`` checks such rows: range, order,
+    self-loops and that every edge is listed from both ends. ``new_graph``,
+    ``expand_edges`` and the graph parsers build their columns correct by
+    construction and skip that check. Equality and hashing see only the
+    vertex count and the rows. Instances and their columns are never
+    written after construction, so they are safe to share between
     concurrent readers.
     """
 
     vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    offsets: array
+    targets: array
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+        n = vertex_count
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise ValueError("adjacency must have one row per vertex")
         # back[u] collects every v listing u; v ascends, so the graph is
         # symmetric exactly when each row equals its back list.
         back: list[list[int]] = [[] for _ in range(n)]
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             prev = -1
             for u in row:
                 if not 0 <= u < n:
@@ -41,48 +67,90 @@ class Graph:
                     raise ValueError(f"adjacency row {v} must be strictly increasing")
                 prev = u
                 back[u].append(v)
-        for v, row in enumerate(self.adjacency):
+        for v, row in enumerate(adjacency):
             if row != tuple(back[v]):
                 u = min(set(row).symmetric_difference(back[v]))
                 raise ValueError(f"edge {{{u}, {v}}} is missing its reverse entry")
+        offsets, targets = _columns(n, adjacency)
+        vars(self).update(vertex_count=n, offsets=offsets, targets=targets)
+
+    @classmethod
+    def _csr(cls, vertex_count: int, offsets: array, targets: array) -> Graph:
+        # For columns the caller built valid by construction: no checks.
+        g = object.__new__(cls)
+        vars(g).update(vertex_count=vertex_count, offsets=offsets, targets=targets)
+        return g
 
     @classmethod
     def _unchecked(cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
-        # For rows the caller built valid by construction: skips __post_init__.
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", vertex_count)
-        object.__setattr__(g, "adjacency", adjacency)
-        return g
+        # For rows the caller built valid by construction: skips the checks.
+        return cls._csr(vertex_count, *_columns(vertex_count, adjacency))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # each entry is the one int object of its vertex, not one per edge end
+        ids = list(range(self.vertex_count))
+        flat = list(map(ids.__getitem__, self.targets))
+        return tuple(tuple(flat[a:b]) for a, b in pairwise(self.offsets))
+
+    def __hash__(self) -> int:
+        # == compares the columns by value, whatever their typecodes, so the
+        # hash reads them widened to one typecode
+        columns = (array("q", self.offsets).tobytes(), array("q", self.targets).tobytes())
+        return hash((self.vertex_count, *columns))
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self.adjacency)) // 2
+        return len(self.targets) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs with ``u < v``, lexicographically ordered."""
+        t = self.targets
+        # each row ascends, so its neighbours above u are a tail of it
         return [
             (u, v)
-            for u in range(self.vertex_count)
-            for v in self.adjacency[u]
-            if u < v
+            for u, (a, b) in enumerate(pairwise(self.offsets))
+            for v in t[bisect(t, u, a, b):b]
         ]
 
 
-def _rows(vertex_count: int, ends) -> tuple[tuple[int, ...], ...]:
-    # Rows of the edges whose 0-based ends u, v come in turn from ``ends``,
-    # every one already checked to lie in range and to be no self-loop.
-    # Sorted and duplicate-free by construction; each entry is the one int
-    # object of its vertex, not one object per edge end.
-    ids = list(range(vertex_count))
-    rows: list = [[] for _ in ids]
-    it = iter(ends)
-    for u, v in zip(it, it):
-        rows[u].append(ids[v])
-        rows[v].append(ids[u])
-    # rows become tuples one by one, freeing each list as it goes
-    for u, row in enumerate(rows):
-        rows[u] = tuple(sorted(set(row)))
-    return tuple(rows)
+def _rows(vertex_count: int, ends) -> tuple[array, array]:
+    # The CSR columns of the edges whose 0-based ends u, v come in turn from
+    # the sequence ``ends``, every one already checked to lie in range and
+    # to be no self-loop. The degrees give each row's end; the ends, read
+    # backwards, are placed from there down, so a row holds its entries in
+    # edge order and comes out strictly increasing whenever the edges came
+    # sorted. The rows are sorted and deduplicated only when some row is not.
+    degree = [0] * vertex_count
+    for u in ends:
+        degree[u] += 1
+    code = _typecode(len(ends))
+    offsets = array(code, accumulate(degree))  # where each row ends, for now
+    del degree
+    targets = array(_typecode(vertex_count - 1), [0]) * len(ends)
+    it = reversed(ends)
+    for v, u in zip(it, it):
+        i = offsets[u] - 1
+        targets[i] = v
+        offsets[u] = i
+        i = offsets[v] - 1
+        targets[i] = u
+        offsets[v] = i
+    offsets.append(len(ends))  # each entry is now where its row starts
+    # every entry exceeds the one before it or starts a row
+    starts = bytearray(len(targets) + 1)
+    for i in offsets:
+        starts[i] = 1
+    after = islice(targets, 1, None)
+    if all(map(or_, islice(starts, 1, None), map(lt, targets, after))):
+        return offsets, targets
+    flat, targets = targets, array(targets.typecode)
+    for v in range(vertex_count):
+        row = sorted(set(flat[offsets[v]:offsets[v + 1]]))
+        offsets[v] = len(targets)
+        targets.extend(row)
+    offsets[vertex_count] = len(targets)
+    return offsets, targets
 
 
 def new_graph(vertex_count: int, edges) -> Graph:
@@ -107,7 +175,7 @@ def new_graph(vertex_count: int, edges) -> Graph:
         raise ValueError("vertex_count must be non-negative")
     if loops:
         raise ValueError(f"self-loop at vertex {min(loops)}")
-    return Graph._unchecked(vertex_count, _rows(vertex_count, ends))
+    return Graph._csr(vertex_count, *_rows(vertex_count, ends))
 
 
 def expand_edges(g: Graph) -> Graph:
@@ -118,20 +186,27 @@ def expand_edges(g: Graph) -> Graph:
     vertices survives. Input vertices keep their ids ``0 .. n - 1`` and the
     virtual vertex of ``g.edges()[i]`` gets id ``n + i``, so equal inputs
     always produce identical expansions.
+
+    The columns are built from ``g``'s: an input vertex keeps its offset,
+    since its degree is unchanged, and each virtual vertex adds a row of 2,
+    its edge ``(u, v)``.
     """
     edge_list = g.edges()
-    n = g.vertex_count
+    n, m = g.vertex_count, len(edge_list)
     rows: list = [[] for _ in range(n)]
     # w grows with the edge index, so every row is built in increasing order.
     for w, (u, v) in enumerate(edge_list, start=n):
         rows[u].append(w)
         rows[v].append(w)
-    # rows become tuples one by one, freeing each list; a virtual vertex's
-    # row is its edge tuple as it is
-    for u, row in enumerate(rows):
-        rows[u] = tuple(row)
-    rows += edge_list
-    return Graph._unchecked(len(rows), tuple(rows))
+    # fromlist converts a list far faster than extend() an iterator
+    targets = array(_typecode(n + m - 1))
+    for row in rows:
+        targets.fromlist(row)
+    del rows
+    targets.fromlist(list(chain.from_iterable(edge_list)))
+    offsets = array(_typecode(4 * m), g.offsets)
+    offsets.extend(range(2 * m + 2, 4 * m + 1, 2))
+    return Graph._csr(n + m, offsets, targets)
 
 
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:

@@ -12,9 +12,12 @@ sorted multiset of its neighbours' colors followed by the sentinel
 ``palette_size`` and ranks the distinct keys largest first, which gives
 exactly the colors that ascending lexicographic rank of the dense vectors
 gives; ``_portraits`` holds the proof, and the dense reference that the
-tests hold it to lives in ``tests/conftest.py``. So a step builds its
-portraits in O(n + m log Δ) for n vertices, m edges and maximum degree Δ,
-whatever the palette size, and then sorts the distinct ones to rank them.
+tests hold it to lives in ``tests/conftest.py``. It reads the graph's CSR
+columns (see ``Graph``) and gathers the neighbours' colors of ``_BLOCK``
+rows at a time, so beside the keys it holds one list slot per edge end of
+a block, not of the graph. So a step builds its portraits in
+O(n + m log Δ) for n vertices, m edges and maximum degree Δ, whatever the
+palette size, and then sorts the distinct ones to rank them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 from .coloring import Coloring, _splits, colorings_isomorphic
 from .graph import Graph
@@ -37,6 +41,11 @@ def zero_coloring(g: Graph) -> Coloring:
     n = g.vertex_count
     # color 0 worn by every vertex, or no colors at all: compact by construction
     return Coloring._unchecked((0,) * n, 1 if n else 0)
+
+
+# Rows per gather of neighbour colors in _portraits: a list slot per edge
+# end of the block, not of the whole graph.
+_BLOCK = 1024
 
 
 def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
@@ -61,10 +70,18 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
     """
     k = c.palette_size
     at = c.colors.__getitem__
-    for row in g.adjacency:
-        key = sorted(map(at, row))
-        key.append(k)
-        yield tuple(key)
+    offsets, targets = g.offsets, g.targets
+    for lo in range(0, g.vertex_count, _BLOCK):
+        # the neighbours' colors of a block of rows in one C-level pass,
+        # then each row's slice of them
+        bounds = offsets[lo:lo + _BLOCK + 1]
+        base = bounds[0]
+        seen = list(map(at, targets[base:bounds[-1]]))
+        for a, b in pairwise(bounds):
+            key = seen[a - base:b - base]
+            key.sort()
+            key.append(k)
+            yield tuple(key)
 
 
 def refine_step(g: Graph, c: Coloring) -> Coloring:

@@ -31,6 +31,30 @@ def brute_portrait(g, c, v):
     )
 
 
+def reference_rows(vertex_count, ends):
+    # the list-per-vertex row builder that CSR replaced: the rows of the
+    # edges whose ends u, v come in turn from ``ends``, sorted and
+    # deduplicated, every entry the one int object of its vertex
+    ids = list(range(vertex_count))
+    rows = [[] for _ in ids]
+    it = iter(ends)
+    for u, v in zip(it, it):
+        rows[u].append(ids[v])
+        rows[v].append(ids[u])
+    return tuple(tuple(sorted(set(row))) for row in rows)
+
+
+def reference_expansion(vertex_count, rows):
+    # expand_edges by its definition, on tuple rows: edge i of the sorted
+    # edges {u, v} becomes the path u - (vertex_count + i) - v
+    edges = [(u, v) for u in range(vertex_count) for v in rows[u] if u < v]
+    expanded = [[] for _ in range(vertex_count)] + [[u, v] for u, v in edges]
+    for w, (u, v) in enumerate(edges, vertex_count):
+        expanded[u].append(w)
+        expanded[v].append(w)
+    return tuple(tuple(sorted(row)) for row in expanded)
+
+
 def brute_inequitable_pair(g, c):
     rep = {}
     for v in range(g.vertex_count):
@@ -94,6 +118,19 @@ def edge_colors(doc):
     final = doc.trace.final.colors
     virtual = final[len(final) - len(doc.edges):]
     return tuple((u, v, col) for (u, v), col in zip(doc.edges, virtual))
+
+
+def kept_bytes(fn, *args):
+    # the memory fn(*args) still holds once it returns, its result alive,
+    # by tracemalloc
+    tracemalloc.start()
+    try:
+        held = fn(*args)
+        kept = tracemalloc.get_traced_memory()[0]
+        del held
+        return kept
+    finally:
+        tracemalloc.stop()
 
 
 def peak_bytes(fn, *args):

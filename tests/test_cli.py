@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from colorref import parse_edge_list, parse_trace, partition_of
+from colorref import Graph, parse_edge_list, parse_trace, partition_of
 from colorref.cli import _write_atomic, main
 from colorref.formats import _CHUNK
 from conftest import HUGE, edge_colors
@@ -193,6 +193,39 @@ def test_verify_not_equitable_names_pair(tmp_path, capsys):
 def test_verify_converged_coloring(tmp_path, capsys, p5):
     stable = write(tmp_path / "s.colors", "0 0\n1 1\n2 2\n3 1\n4 0\n")
     assert main(["verify", p5, stable]) == 0
+
+
+def _refine_and_verify(root, capsys):
+    # exit code, stdout and stderr of each run, then every file in root
+    p4 = write(root / "p4.edges", "0 1\n1 2\n2 3\n")
+    c4 = write(root / "c4.col", "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n")
+    # on the edges {0, 2}, {1, 3} this start alternates between two partitions
+    swing = write(root / "swing.edges", "n 4\n0 2\n1 3\n")
+    start = write(root / "start.colors", "0 0\n1 1\n2 0\n3 0\n")
+    stable = write(root / "stable.colors", "0 0\n1 1\n2 1\n3 0\n")
+    zeros = write(root / "zeros.colors", "0 0\n1 0\n2 0\n3 0\n")
+    runs = []
+    for argv in (
+        ["refine", p4],
+        ["refine", c4, "--expand-edges", "--dot", str(root / "c4.dot")],
+        ["refine", swing, "--coloring", start],
+        ["verify", p4, stable],
+        ["verify", p4, zeros],
+    ):
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+    return runs, {path.name: path.read_text() for path in sorted(root.iterdir())}
+
+
+def test_refine_and_verify_never_build_tuple_rows(tmp_path, capsys, monkeypatch):
+    want = _refine_and_verify(tmp_path, capsys)
+    assert [code for code, _, _ in want[0]] == [0, 0, 3, 0, 1]
+
+    def tuple_rows(g):
+        raise AssertionError("the CLI built Graph.adjacency")
+
+    monkeypatch.setattr(Graph, "adjacency", property(tuple_rows))
+    assert _refine_and_verify(tmp_path, capsys) == want
 
 
 def test_compare_relabeling(tmp_path, capsys):

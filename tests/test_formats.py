@@ -31,6 +31,7 @@ from conftest import (
     cycle_graph,
     edge_colors,
     emitted,
+    kept_bytes,
     path_graph,
     peak_bytes,
 )
@@ -289,6 +290,14 @@ def test_parsing_dimacs_holds_neither_all_lines_nor_an_int_per_edge_end():
     assert peak_bytes(parse_dimacs, text) < 12.5 * len(text)
 
 
+def test_a_parsed_graph_keeps_no_object_per_vertex():
+    x = _expanded_torus(60)
+    # measured on these 10 800 vertices: about 101 bytes per vertex kept
+    # with a tuple row and an int object per vertex, about 15 with the two
+    # flat CSR columns of 4-byte entries
+    assert kept_bytes(parse_dimacs, _dimacs(x)) < 24 * x.vertex_count
+
+
 def test_emitting_class_records_holds_no_list_per_class():
     x = _expanded_torus(60)
     doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), x)
@@ -331,6 +340,15 @@ def test_trace_document_rejects_an_original_it_was_not_expanded_from():
     t = refine_to_fixpoint(g, zero_coloring(g))
     with pytest.raises(ValueError, match="not the edge expansion"):
         trace_document(t, g, original=g)
+
+
+def test_trace_document_rejects_a_graph_of_the_expansions_size():
+    # 3 + 1 vertices, as expand_edges of the one-edge original gives, but
+    # the input rows of P_4 do not leave one pair per original edge
+    g = path_graph(4)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    with pytest.raises(ValueError, match="not the edge expansion"):
+        trace_document(t, g, original=new_graph(3, [(0, 1)]))
 
 
 # Edge colors that do not fit the run; each text parsed before these checks.

@@ -1,4 +1,5 @@
 import io
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, target
@@ -36,6 +37,8 @@ from conftest import (
     emitted,
     index_portraits,
     is_refinement,
+    reference_expansion,
+    reference_rows,
 )
 
 
@@ -107,6 +110,25 @@ def test_library_built_graphs_pass_the_public_checks(n_pairs, p, seed):
     g = new_graph(n, pairs)
     for built in (g, expand_edges(g), random_graph(n, p, seed)):
         assert Graph(built.vertex_count, built.adjacency) == built
+
+
+# Every builder goes through the one CSR row builder, or, for Graph(n, rows),
+# flattens rows; all must agree with the list-per-vertex reference.
+@given(raw_edge_lists())
+def test_every_route_builds_the_reference_rows(n_pairs):
+    n, pairs = n_pairs
+    want = reference_rows(n, [end for pair in pairs for end in pair])
+    edge_list = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    dimacs = f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    g = new_graph(n, pairs)
+    # the same columns widened to 8 bytes an entry: equal, whatever the typecode
+    wide = Graph._csr(n, array("q", g.offsets), array("q", g.targets))
+    for built in (g, parse_edge_list(edge_list), parse_dimacs(dimacs), Graph(n, want), wide):
+        assert built == g
+        assert hash(built) == hash(g)
+        assert built.adjacency == want
+        assert built.edge_count == len(built.edges())
+        assert expand_edges(built).adjacency == reference_expansion(n, want)
 
 
 # refine_step, zero_coloring, coloring_from_labels and parse_coloring skip
