@@ -10,7 +10,6 @@ independent brute-force oracle, text formats, and a CLI.
 """
 
 from .coloring import (
-    ColorBijectionWitness,
     Coloring,
     Partition,
     coloring_from_labels,
@@ -53,7 +52,6 @@ from .refine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColorBijectionWitness",
     "Coloring",
     "CounterexampleWitness",
     "Graph",

@@ -65,12 +65,15 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
 
 def _load(path: str, parse, *args):
     # the parser reads the open file a chunk at a time; a decode error of a
-    # read is a ValueError too, so it names the file
+    # read is a ValueError too, so it names the file, as does a vertex count
+    # whose first column cannot be allocated
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise ValueError(f"{path}: too large to hold in memory") from exc
 
 
 def _load_graph(path: str, fmt: str | None):
@@ -137,11 +140,11 @@ def _cmd_compare(args) -> int:
         raise ValueError(
             f"colorings cover {len(c1.colors)} and {len(c2.colors)} vertices"
         )
-    witness = colorings_isomorphic(c1, c2)
-    if witness is None:
+    forward = colorings_isomorphic(c1, c2)
+    if forward is None:
         print("not isomorphic")
         return EXIT_NEGATIVE
-    print(" ".join(f"{a}->{b}" for a, b in enumerate(witness.forward)))
+    print(" ".join(f"{a}->{b}" for a, b in enumerate(forward)))
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -60,24 +61,15 @@ def coloring_from_labels(labels) -> Coloring:
     return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(rank))
 
 
-@dataclass(frozen=True)
-class ColorBijectionWitness:
-    """A palette bijection carrying one coloring onto another.
-
-    ``forward[c]`` is the color of the second palette matched to color ``c``
-    of the first.
-    """
-
-    forward: tuple[int, ...]
-
-
-def colorings_isomorphic(c1: Coloring, c2: Coloring) -> ColorBijectionWitness | None:
+def colorings_isomorphic(c1: Coloring, c2: Coloring) -> tuple[int, ...] | None:
     """Return the palette bijection mapping ``c1`` vertex-wise onto ``c2``, if any.
 
-    The induced map color-to-color must be single-valued. It is then onto,
-    because every color of the compact palette of ``c2`` is worn by some
-    vertex, and an onto map between palettes of equal size is a bijection.
-    One pass over the vertices suffices.
+    The bijection is a tuple ``forward``, ``forward[c]`` the color of ``c2``
+    matched to color ``c`` of ``c1``; ``()`` for zero vertices. The induced
+    map color-to-color must be single-valued. It is then onto, because
+    every color of the compact palette of ``c2`` is worn by some vertex,
+    and an onto map between palettes of equal size is a bijection. One
+    pass over the vertices suffices.
     """
     if len(c1.colors) != len(c2.colors):
         raise ValueError("colorings are over different vertex sets")
@@ -89,7 +81,7 @@ def colorings_isomorphic(c1: Coloring, c2: Coloring) -> ColorBijectionWitness | 
             forward[a] = b
         elif forward[a] != b:
             return None
-    return ColorBijectionWitness(tuple(forward))
+    return tuple(forward)
 
 
 def _splits(pairs: Iterable[tuple[object, object]]) -> Iterator[tuple[int, int]]:
@@ -107,15 +99,31 @@ def _splits(pairs: Iterable[tuple[object, object]]) -> Iterator[tuple[int, int]]
             yield u, v
 
 
+def _classes(c: Coloring) -> Iterator[Iterator[int]]:
+    # Each color class of c, in smallest-member order, as an iterator of its
+    # ascending members; no list per class: after[v] is the next vertex of
+    # v's color (-1 past the last) and head[k] the first of color k.
+    colors = c.colors
+    after = array("q", [-1]) * len(colors)
+    head = [-1] * c.palette_size
+    for v in range(len(colors) - 1, -1, -1):
+        k = colors[v]
+        after[v] = head[k]
+        head[k] = v
+
+    def members(v: int) -> Iterator[int]:
+        while v >= 0:
+            yield v
+            v = after[v]
+
+    for v in sorted(head):
+        yield members(v)
+
+
 def partition_of(c: Coloring) -> Partition:
     """Group vertices into color classes, canonically ordered by smallest member.
 
     Two colorings are isomorphic exactly when their partitions are equal,
     which gives partition equality a bit-exact meaning for cross-checks.
     """
-    classes: dict[int, list[int]] = {}
-    for v, col in enumerate(c.colors):
-        classes.setdefault(col, []).append(v)
-    # A color enters the dict at its smallest vertex, and vertices are
-    # visited in order, so insertion order is already smallest-member order.
-    return tuple(map(tuple, classes.values()))
+    return tuple(map(tuple, _classes(c)))

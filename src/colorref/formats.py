@@ -21,9 +21,13 @@ Trace document
     emit_trace_document writes the records into a text stream ``out`` as
     it builds them, so a trace never has to be held in memory whole.
 
-Every parser takes the text or a text stream, which it reads once, a
-chunk at a time. All emitters are pure functions of their inputs, apart
-from writing to ``out``, and produce byte-identical output for equal inputs.
+Every parser takes the text or a text stream and reads it once, a chunk
+at a time, through one line reader (a str is read as slices); with each
+line it gives the token converter for the chunk the line came in. The
+graph parsers hand their checked edge ends to ``graph._from_ends``, the
+one builder of a Graph from edge ends, which ``new_graph`` uses too. All
+emitters are pure functions of their inputs, apart from writing to
+``out``, and produce byte-identical output for equal inputs.
 """
 
 from __future__ import annotations
@@ -32,11 +36,18 @@ import colorsys
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, zip_longest
 from typing import TextIO
 
-from .coloring import Coloring, coloring_from_labels, colorings_isomorphic, partition_of
-from .graph import Graph, _rows
+from .coloring import (
+    Coloring,
+    _classes,
+    coloring_from_labels,
+    colorings_isomorphic,
+    partition_of,
+)
+from .graph import Graph, _from_ends, _typecode
 from .refine import RefinementTrace
 
 
@@ -56,20 +67,18 @@ _CHUNK = 1 << 16
 
 
 def _blocks(source: str | TextIO):
-    # Pieces of ``source``, a str or a text stream, of about _CHUNK
-    # characters, each ending just after a "\n" except the last. A "\n" is a
+    # Pieces of ``source``, a str or a text stream, read _CHUNK characters
+    # at a time (a str gives its slices) and cut just after the last "\n"
+    # of each read, so each piece but the last ends with one. A "\n" is a
     # line break for splitlines too and never splits a "\r\n", so the lines
     # of the pieces and their numbers are exactly those of the whole text's
     # splitlines().
     if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            cut = source.find("\n", start + _CHUNK - 1) + 1 or len(source)
-            yield source[start:cut]
-            start = cut
-        return
+        reads = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    else:
+        reads = iter(partial(source.read, _CHUNK), "")
     parts: list[str] = []
-    while data := source.read(_CHUNK):
+    for data in reads:
         cut = data.rfind("\n") + 1
         if cut:
             parts.append(data[:cut])
@@ -81,26 +90,25 @@ def _blocks(source: str | TextIO):
         yield last
 
 
-def _content_lines(source: str | TextIO, comment: str, ints: list | None = None):
-    """Yield ``(line number, fields)`` of each line that is neither blank
-    nor a comment.
+def _content_lines(source: str | TextIO, comment: str):
+    """Yield ``(line number, fields, to_int)`` of each line that is neither
+    blank nor a comment.
 
-    If ``ints`` is given, ``ints[0]`` is set before each piece's lines to
-    the token converter for that piece: ``int`` itself where it is exact.
-    On a whitespace-free token int() accepts more than [+-]?[0-9]+ only
-    through "_" separators and non-ASCII digits, so on ASCII text without
-    "_" it is exact. Callers convert with it and on ValueError convert
-    again with ``_int_field``, which raises the ParseError.
+    ``to_int`` is the token converter for the piece the line came in:
+    ``int`` itself where it is exact. On a whitespace-free token int()
+    accepts more than [+-]?[0-9]+ only through "_" separators and non-ASCII
+    digits, so on ASCII text without "_" it is exact. Callers convert with
+    it and on ValueError convert again with ``_int_field``, which raises
+    the ParseError.
     """
     first = 1
     for block in _blocks(source):
-        if ints is not None:
-            ints[0] = int if block.isascii() and "_" not in block else _strict_int
+        to_int = int if block.isascii() and "_" not in block else _strict_int
         lines = block.splitlines()
         for lineno, raw in enumerate(lines, first):
             parts = raw.split()
             if parts and not parts[0].startswith(comment):
-                yield lineno, parts
+                yield lineno, parts, to_int
         first += len(lines)
 
 
@@ -131,8 +139,7 @@ def parse_edge_list(source: str | TextIO) -> Graph:
     lines = array("q")  # the line of each edge
     wide: dict[int, int] = {}  # line: larger end, of each edge with one past 64 bits
     max_id = -1
-    ints = [int]
-    for lineno, parts in _content_lines(source, "#", ints):
+    for lineno, parts, to_int in _content_lines(source, "#"):
         if parts[0] == "n":
             if declared is not None:
                 raise ParseError("duplicate vertex-count header", lineno)
@@ -146,7 +153,7 @@ def parse_edge_list(source: str | TextIO) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {' '.join(parts)!r}", lineno)
         try:
-            u, v = ints[0](parts[0]), ints[0](parts[1])
+            u, v = to_int(parts[0]), to_int(parts[1])
         except ValueError:
             u = _int_field(parts[0], "vertex id", lineno)
             v = _int_field(parts[1], "vertex id", lineno)
@@ -175,14 +182,13 @@ def parse_edge_list(source: str | TextIO) -> Graph:
                 raise ParseError(f"vertex id {w} exceeds declared count {n}", lineno)
             if w >= sys.maxsize:
                 raise ParseError(_TOO_MANY, lineno)
-    return Graph._csr(n, *_rows(n, ends))
+    return _from_ends(n, ends)
 
 
 def parse_dimacs(source: str | TextIO) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
-    ints = [int]
-    for lineno, parts in _content_lines(source, "c", ints):
+    for lineno, parts, to_int in _content_lines(source, "c"):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -195,14 +201,14 @@ def parse_dimacs(source: str | TextIO) -> Graph:
             if n > sys.maxsize:  # also keeps every id within ends' 64 bits
                 raise ParseError(_TOO_MANY, lineno)
             # u, v of each edge in turn: 4 bytes each where they fit
-            ends = array("i" if n <= 1 << 31 else "q")
+            ends = array(_typecode(n - 1))
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line precedes the problem line", lineno)
             if len(parts) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
             try:
-                u, v = ints[0](parts[1]), ints[0](parts[2])
+                u, v = to_int(parts[1]), to_int(parts[2])
             except ValueError:
                 u = _int_field(parts[1], "vertex id", lineno)
                 v = _int_field(parts[2], "vertex id", lineno)
@@ -216,7 +222,7 @@ def parse_dimacs(source: str | TextIO) -> Graph:
             raise ParseError(f"unrecognized record {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    return Graph._csr(n, *_rows(n, ends))
+    return _from_ends(n, ends)
 
 
 def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Coloring:
@@ -229,12 +235,11 @@ def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Col
     # None while unassigned; ahead holds the ids read at or past that number
     labels: list = []
     ahead: dict[int, int] = {}
-    ints = [int]
-    for lineno, parts in _content_lines(source, "#", ints):
+    for lineno, parts, to_int in _content_lines(source, "#"):
         if len(parts) != 2:
             raise ParseError(f"expected 'v c', got {' '.join(parts)!r}", lineno)
         try:
-            v, label = ints[0](parts[0]), ints[0](parts[1])
+            v, label = to_int(parts[0]), to_int(parts[1])
         except ValueError:
             v = _int_field(parts[0], "vertex id", lineno)
             label = _int_field(parts[1], "color", lineno)
@@ -349,13 +354,6 @@ def _write_record(write, key: str, values) -> None:
     write("\n")
 
 
-def _members(after: array, v: int):
-    # v and the vertices after it in its class, following ``after``
-    while v >= 0:
-        yield v
-        v = after[v]
-
-
 def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     """Serialize in the canonical field order; equal documents yield equal bytes.
 
@@ -372,17 +370,9 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
         _write_record(write, "coloring", coloring.colors)
     marker = "none" if trace.converged_at is None else str(trace.converged_at)
     write(f"converged_at {marker}\n")
-    # the classes of partition_of(trace.final), without a list and a tuple
-    # per class: after[v] is the next vertex of v's color, -1 past the last,
-    # and head[c] the first vertex of color c
-    after = array("q", [-1]) * n
-    head = [-1] * trace.final.palette_size
-    for v in range(n - 1, -1, -1):
-        c = final[v]
-        after[v] = head[c]
-        head[c] = v
-    for v in sorted(head):
-        _write_record(write, "class", _members(after, v))
+    # the classes of partition_of(trace.final), without a list per class
+    for members in _classes(trace.final):
+        _write_record(write, "class", members)
     for w, (u, v) in enumerate(doc.edges, n - len(doc.edges)):
         write(f"edge_color {u} {v} {final[w]}\n")
 
@@ -406,7 +396,7 @@ def parse_trace(source: str | TextIO) -> TraceDocument:
     # each record as (line number, values): the checks after the loop name
     # the line of the record they reject
     records: dict[str, list] = {key: [] for key in (*single, "coloring", "class", "edge_color")}
-    for lineno, parts in _content_lines(source, "#"):
+    for lineno, parts, _ in _content_lines(source, "#"):
         key, tokens = parts[0], parts[1:]
         if key in single and records[key]:
             raise ParseError(f"duplicate {key} record", lineno)

@@ -16,13 +16,6 @@ def _typecode(top: int) -> str:
     return "i" if top < 1 << 31 else "q"
 
 
-def _columns(vertex_count: int, rows) -> tuple[array, array]:
-    # the CSR columns of rows given as a sequence of sequences
-    targets = array(_typecode(vertex_count - 1), chain.from_iterable(rows))
-    lengths = accumulate(map(len, rows), initial=0)
-    return array(_typecode(len(targets)), lengths), targets
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """A simple undirected graph on vertices ``0 .. vertex_count - 1``.
@@ -35,12 +28,13 @@ class Graph:
     tuple of tuples, ``adjacency[v]`` that of ``v``.
 
     ``Graph(vertex_count, adjacency)`` checks such rows: range, order,
-    self-loops and that every edge is listed from both ends. ``new_graph``,
-    ``expand_edges`` and the graph parsers build their columns correct by
-    construction and skip that check. Equality and hashing see only the
-    vertex count and the rows. Instances and their columns are never
-    written after construction, so they are safe to share between
-    concurrent readers.
+    self-loops and that every edge is listed from both ends. ``new_graph``
+    and the graph parsers hand their checked edge ends to the one builder,
+    ``_from_ends``, and ``expand_edges`` derives its columns from its
+    input's; both build them correct by construction and skip that check.
+    Equality and hashing see only the vertex count and the rows. Instances
+    and their columns are never written after construction, so they are
+    safe to share between concurrent readers.
     """
 
     vertex_count: int
@@ -71,7 +65,8 @@ class Graph:
             if row != tuple(back[v]):
                 u = min(set(row).symmetric_difference(back[v]))
                 raise ValueError(f"edge {{{u}, {v}}} is missing its reverse entry")
-        offsets, targets = _columns(n, adjacency)
+        targets = array(_typecode(n - 1), chain.from_iterable(adjacency))
+        offsets = array(_typecode(len(targets)), accumulate(map(len, adjacency), initial=0))
         vars(self).update(vertex_count=n, offsets=offsets, targets=targets)
 
     @classmethod
@@ -80,11 +75,6 @@ class Graph:
         g = object.__new__(cls)
         vars(g).update(vertex_count=vertex_count, offsets=offsets, targets=targets)
         return g
-
-    @classmethod
-    def _unchecked(cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
-        # For rows the caller built valid by construction: skips the checks.
-        return cls._csr(vertex_count, *_columns(vertex_count, adjacency))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -114,10 +104,10 @@ class Graph:
         ]
 
 
-def _rows(vertex_count: int, ends) -> tuple[array, array]:
-    # The CSR columns of the edges whose 0-based ends u, v come in turn from
-    # the sequence ``ends``, every one already checked to lie in range and
-    # to be no self-loop. The degrees give each row's end; the ends, read
+def _from_ends(vertex_count: int, ends) -> Graph:
+    # The graph of the edges whose 0-based ends u, v come in turn from the
+    # sequence ``ends``, every one already checked to lie in range and to be
+    # no self-loop. The degrees give each row's end; the ends, read
     # backwards, are placed from there down, so a row holds its entries in
     # edge order and comes out strictly increasing whenever the edges came
     # sorted. The rows are sorted and deduplicated only when some row is not.
@@ -142,15 +132,14 @@ def _rows(vertex_count: int, ends) -> tuple[array, array]:
     for i in offsets:
         starts[i] = 1
     after = islice(targets, 1, None)
-    if all(map(or_, islice(starts, 1, None), map(lt, targets, after))):
-        return offsets, targets
-    flat, targets = targets, array(targets.typecode)
-    for v in range(vertex_count):
-        row = sorted(set(flat[offsets[v]:offsets[v + 1]]))
-        offsets[v] = len(targets)
-        targets.extend(row)
-    offsets[vertex_count] = len(targets)
-    return offsets, targets
+    if not all(map(or_, islice(starts, 1, None), map(lt, targets, after))):
+        flat, targets = targets, array(targets.typecode)
+        for v in range(vertex_count):
+            row = sorted(set(flat[offsets[v]:offsets[v + 1]]))
+            offsets[v] = len(targets)
+            targets.extend(row)
+        offsets[vertex_count] = len(targets)
+    return Graph._csr(vertex_count, offsets, targets)
 
 
 def new_graph(vertex_count: int, edges) -> Graph:
@@ -175,7 +164,7 @@ def new_graph(vertex_count: int, edges) -> Graph:
         raise ValueError("vertex_count must be non-negative")
     if loops:
         raise ValueError(f"self-loop at vertex {min(loops)}")
-    return Graph._csr(vertex_count, *_rows(vertex_count, ends))
+    return _from_ends(vertex_count, ends)
 
 
 def expand_edges(g: Graph) -> Graph:
@@ -220,11 +209,11 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_probability
-    ]
+    return _gnp(n, edge_probability, random.Random(seed))
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    # One G(n, p) draw: rng.random() once per pair u < v, in lexicographic
+    # order, and the edge kept when the draw is below p.
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return new_graph(n, edges)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .coloring import Coloring, Partition, _splits, coloring_from_labels
-from .graph import Graph, new_graph
+from .graph import Graph, _gnp, new_graph
 from .refine import refine_to_fixpoint
 
 
@@ -137,13 +137,7 @@ def _random_split_coloring(g: Graph, rng: random.Random) -> Coloring:
 
 def _random_connected(n: int, rng: random.Random) -> Graph | None:
     for _ in range(64):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < 0.5
-        ]
-        g = new_graph(n, edges)
+        g = _gnp(n, 0.5, rng)
         if _is_connected(g):
             return g
     return None

@@ -12,7 +12,6 @@ import colorref.cli
 # The whole public surface. Pinning it exactly keeps helpers that only
 # tests used from coming back, and catches a dangling export.
 PUBLIC_NAMES = [
-    "ColorBijectionWitness",
     "Coloring",
     "CounterexampleWitness",
     "Graph",

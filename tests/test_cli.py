@@ -366,6 +366,27 @@ def test_hostile_vertex_counts_exit_2_naming_the_line(tmp_path, name):
     assert proc.stderr.count("\n") == 1  # one line: no traceback
 
 
+# A count of sys.maxsize passes the parsers' checks; its first column of
+# sys.maxsize slots fails to allocate at once, and the file is named.
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("max.edges", f"0 1\n0 {sys.maxsize - 1}\n", "refine"),
+        ("max.col", f"p edge {sys.maxsize} 0\n", "verify"),
+    ],
+)
+def test_a_count_too_large_for_memory_exits_2_naming_the_file(tmp_path, name, text, command):
+    path = write(tmp_path / name, text)
+    args = [path, write(tmp_path / "one.colors", "0 0\n")]
+    if command == "refine":
+        args = [path, "--trace", str(tmp_path / "t")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorref", command, *args], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path}: too large to hold in memory\n"
+
+
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
     class Interrupted(Exception):
         pass

@@ -1,4 +1,7 @@
+import contextlib
 import io
+import os
+import tempfile
 from array import array
 
 import pytest
@@ -30,6 +33,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref import formats
+from colorref.cli import main
 from conftest import (
     brute_inequitable_pair,
     brute_portrait,
@@ -253,7 +257,7 @@ def test_zero_start_contract(g):
     # a palette plateau already means the classes stopped moving
     for t in range(len(trace.colorings) - 1):
         if trace.palette_sizes[t] == trace.palette_sizes[t + 1]:
-            assert colorings_isomorphic(trace.colorings[t], trace.colorings[t + 1])
+            assert colorings_isomorphic(trace.colorings[t], trace.colorings[t + 1]) is not None
     # the stable point is equitable and agrees with the brute-force route
     assert find_inequitable_pair(g, trace.final) is None
     assert partition_of(trace.final) == naive_refine(g, zero_coloring(g))
@@ -296,8 +300,8 @@ def test_isomorphism_is_symmetric_with_inverse_witness(pair):
     w21 = colorings_isomorphic(c2, c1)
     assert (w12 is None) == (w21 is None)
     if w12 is not None:
-        for a, b in enumerate(w12.forward):
-            assert w21.forward[b] == a
+        for a, b in enumerate(w12):
+            assert w21[b] == a
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=8), st.randoms(use_true_random=False))
@@ -313,7 +317,7 @@ def test_isomorphism_witnesses_compose(labels, rnd):
     w23 = colorings_isomorphic(c2, c3)
     w13 = colorings_isomorphic(c1, c3)
     for a in range(c1.palette_size):
-        assert w13.forward[a] == w23.forward[w12.forward[a]]
+        assert w13[a] == w23[w12[a]]
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=10), st.randoms(use_true_random=False))
@@ -378,7 +382,7 @@ def test_chunked_lines_are_those_of_splitlines(text, chunk, comment):
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_CHUNK", chunk)
-        assert list(formats._content_lines(text, comment)) == want
+        assert [line[:2] for line in formats._content_lines(text, comment)] == want
 
 
 # Parser fuzzing: lines of a record key and up to four tokens, either all
@@ -455,3 +459,60 @@ def test_parsing_a_stream_gives_what_parsing_its_text_gives(name, data, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_CHUNK", chunk)
         assert _parse_outcome(parse, io.StringIO(text)) == _parse_outcome(parse, text)
+
+
+GRAPH_SUFFIXES = {".edges": "edge_list", ".col": "dimacs"}
+
+
+@st.composite
+def graph_files(draw, suffix):
+    # a fuzz text of the format, or a well-formed file of a raw edge list
+    if draw(st.booleans()):
+        return draw(fuzz_texts(FUZZ_PARSERS[GRAPH_SUFFIXES[suffix]][2]))
+    n, pairs = draw(raw_edge_lists())
+    if suffix == ".col":
+        return f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+@st.composite
+def coloring_files(draw):
+    # a fuzz text, or one well-formed assignment per vertex of 0 .. n - 1
+    if draw(st.booleans()):
+        return draw(fuzz_texts(FUZZ_PARSERS["coloring"][2]))
+    labels = draw(st.lists(st.integers(0, 3), max_size=12))
+    return "".join(f"{v} {c}\n" for v, c in enumerate(labels))
+
+
+# CLI fuzzing: refine and verify on small-token graph and coloring files.
+# Whatever the files hold, a run ends in a documented exit code, and at
+# most a one-line message on stderr, never a traceback.
+@given(
+    command=st.sampled_from(["refine", "refine --expand-edges", "verify"]),
+    suffix=st.sampled_from(sorted(GRAPH_SUFFIXES)),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cli_ends_in_an_exit_code_without_a_traceback(command, suffix, data):
+    graph_text = data.draw(graph_files(suffix), label="graph")
+    coloring_text = data.draw(st.one_of(st.none(), coloring_files()), label="coloring")
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "g" + suffix)
+        coloring = os.path.join(tmp, "c.colors")
+        with open(graph, "w", encoding="utf-8") as fh:
+            fh.write(graph_text)
+        with open(coloring, "w", encoding="utf-8") as fh:
+            fh.write(coloring_text or "")
+        name, *flags = command.split()
+        if name == "verify":
+            argv = ["verify", graph, coloring]
+        else:
+            argv = ["refine", graph, "--trace", os.path.join(tmp, "t"), *flags]
+            if coloring_text is not None:
+                argv += ["--coloring", coloring]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert not err.getvalue().startswith("Traceback")
+    assert err.getvalue().count("\n") == (code == 2)

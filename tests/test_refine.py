@@ -1,3 +1,4 @@
+from array import array
 from collections import Counter
 
 import pytest
@@ -314,7 +315,7 @@ def test_directed_cycle_has_period_five():
     # out-rows of the directed cycle 1->2->3->5->4->1 plus an isolated 0: with
     # arcs listed from one end only the period is not bounded by 2, so the
     # lemma has to rest on every edge being listed from both ends
-    g = Graph._unchecked(6, ((), (2,), (3,), (5,), (1,), (4,)))
+    g = Graph._csr(6, array("i", [0, 0, 1, 2, 3, 4, 5]), array("i", [2, 3, 5, 1, 4]))
     t = refine_to_fixpoint(g, coloring_from_labels([0, 2, 1, 3, 1, 2]))
     assert t.converged_at is None
     assert first_repeat(t.colorings) == (5, 5)
