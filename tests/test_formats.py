@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from colorref import (
+    Coloring,
     ParseError,
     TraceDocument,
     coloring_from_labels,
@@ -11,6 +12,7 @@ from colorref import (
     emit_edge_list,
     emit_trace_document,
     expand_edges,
+    naive_refine,
     new_graph,
     parse_coloring,
     parse_dimacs,
@@ -374,6 +376,9 @@ def _expanded_p4_text(old, new):
         (_expanded_p4_text("edge_color 0 1 2\nedge_color 1 2 2",
                            "edge_color 1 2 2\nedge_color 0 1 2"),
          "line 12: edge_color pairs are not in increasing order"),
+        # a repeated pair is refused even where its color is right
+        (_expanded_p4_text("edge_color 1 2 2", "edge_color 0 1 2"),
+         "line 12: edge_color pairs are not in increasing order"),
         (_expanded_p4_text("edge_color 0 1 2", "edge_color 1 0 2"),
          "line 11: edge_color pair 1 0 is not u < v below 4"),
         (_expanded_p4_text("edge_color 0 1 2", "edge_color -1 1 2"),
@@ -381,8 +386,8 @@ def _expanded_p4_text(old, new):
         (_expanded_p4_text("edge_color 2 3 1", "edge_color 2 4 1"),
          "line 13: edge_color pair 2 4 is not u < v below 4"),
     ],
-    ids=["made-up", "m-not-twice-k", "wrong-color", "out-of-order", "reversed-pair",
-         "negative-vertex", "virtual-vertex-in-pair"],
+    ids=["made-up", "m-not-twice-k", "wrong-color", "out-of-order", "repeated-pair",
+         "reversed-pair", "negative-vertex", "virtual-vertex-in-pair"],
 )
 def test_parse_trace_rejects_edge_colors_that_do_not_fit(text, message):
     with pytest.raises(ParseError, match=message):
@@ -657,6 +662,14 @@ MESSAGE_CASES = [
      "line 4: duplicate assignment for vertex 2"),
     (parse_coloring, ("3 0\n0 0\n1 0\n2 0\n3 1\n",), ParseError,
      "line 5: duplicate assignment for vertex 3"),
+    (parse_dimacs, ("p edge -1 0\n",), ParseError, "line 1: vertex count must be non-negative"),
+    # argument checks of the library calls
+    (Coloring, ((), -1), ValueError, "palette_size must be non-negative"),
+    (random_graph, (-1, 0.5, 0), ValueError, "n must be non-negative"),
+    (emit_dot, (path_graph(2), coloring_from_labels([0])), ValueError,
+     "coloring and graph have different vertex counts"),
+    (naive_refine, (path_graph(2), coloring_from_labels([0])), ValueError,
+     "coloring and graph have different vertex counts"),
 ]
 
 

@@ -108,6 +108,15 @@ def test_search_is_deterministic():
     assert a == b
 
 
+def test_search_never_needs_graphs_above_five_vertices():
+    # a larger max_n sweeps the same graphs, so it finds the same witness
+    for seed in range(10):
+        w = search_refinement_counterexample(max_n=5, seed=seed, attempts=1000)
+        assert w is not None
+        for max_n in (6, 8, 12):
+            assert search_refinement_counterexample(max_n, seed, 1000) == w
+
+
 def test_search_finds_nothing_on_two_vertices():
     # the only connected 2-vertex graph never merges a split start
     assert search_refinement_counterexample(max_n=2, seed=0, attempts=50) is None
