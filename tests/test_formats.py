@@ -182,6 +182,34 @@ def test_emit_dot_deterministic():
     assert emit_dot(g, t.final) == emit_dot(g, t.final)
 
 
+def test_emitted_bytes_are_pinned(capsys):
+    # the exact text of each emitter and of `colorref gen`, recorded before
+    # the emitters wrote into a stream; vertex 4 is isolated
+    g = new_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    c = coloring_from_labels([0, 0, 1, 2, 1])
+    assert emit_edge_list(g) == "n 5\n0 1\n0 2\n1 2\n2 3\n"
+    assert emit_coloring(c) == "0 0\n1 0\n2 1\n3 2\n4 1\n"
+    assert emit_dot(g, c) == (
+        "graph coloring {\n"
+        "  node [shape=circle style=filled];\n"
+        '  v0 [label="0:0" fillcolor="#ed6a6a"];\n'
+        '  v1 [label="1:0" fillcolor="#ed6a6a"];\n'
+        '  v2 [label="2:1" fillcolor="#6a90ed"];\n'
+        '  v3 [label="3:2" fillcolor="#b6ed6a"];\n'
+        '  v4 [label="4:1" fillcolor="#6a90ed"];\n'
+        "  v0 -- v1;\n"
+        "  v0 -- v2;\n"
+        "  v1 -- v2;\n"
+        "  v2 -- v3;\n"
+        "}\n"
+    )
+    assert main(["gen", "6", "0.5", "--seed", "9"]) == 0
+    assert capsys.readouterr().out == (
+        "# colorref gen n=6 p=0.5 seed=9\n"
+        "n 6\n0 1\n0 2\n0 3\n0 5\n1 4\n2 4\n2 5\n3 5\n"
+    )
+
+
 def test_trace_document_triangle():
     g = complete_graph(3)
     t = refine_to_fixpoint(g, zero_coloring(g))
