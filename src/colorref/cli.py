@@ -13,6 +13,7 @@ import stat
 import sys
 import tempfile
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import TextIO
 
@@ -82,15 +83,11 @@ def _load_graph(path: str, fmt: str | None):
     return _load(path, parse_edge_list if fmt == "edgelist" else parse_dimacs)
 
 
-def _load_coloring(path: str, vertex_count: int | None):
-    return _load(path, parse_coloring, vertex_count)
-
-
 def _cmd_refine(args) -> int:
     g = _load_graph(args.graph, args.format)
     target = expand_edges(g) if args.expand_edges else g
     if args.coloring is not None:
-        initial = _load_coloring(args.coloring, target.vertex_count)
+        initial = _load(args.coloring, parse_coloring, target.vertex_count)
     else:
         initial = zero_coloring(target)
     max_iters = args.max_iters
@@ -112,8 +109,7 @@ def _cmd_refine(args) -> int:
 
     _write_atomic(trace_path, write_trace)
     if args.dot:
-        dot = emit_dot(target, trace.final)
-        _write_atomic(Path(args.dot), lambda fh: fh.write(dot))
+        _write_atomic(Path(args.dot), partial(emit_dot, target, trace.final))
     converged = trace.converged_at if trace.converged_at is not None else "none"
     print(
         f"n={target.vertex_count} m={doc.edge_count}"
@@ -124,7 +120,7 @@ def _cmd_refine(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.format)
-    c = _load_coloring(args.coloring, g.vertex_count)
+    c = _load(args.coloring, parse_coloring, g.vertex_count)
     pair = find_inequitable_pair(g, c)
     if pair is None:
         print("equitable")
@@ -134,8 +130,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    c1 = _load_coloring(args.coloring1, None)
-    c2 = _load_coloring(args.coloring2, None)
+    c1 = _load(args.coloring1, parse_coloring)
+    c2 = _load(args.coloring2, parse_coloring)
     if len(c1.colors) != len(c2.colors):
         raise ValueError(
             f"colorings cover {len(c1.colors)} and {len(c2.colors)} vertices"
@@ -157,8 +153,8 @@ def _cmd_search(args) -> int:
         )
         return EXIT_NEGATIVE
     out = Path(args.out)
-    _write_atomic(out / "graph.edges", lambda fh: fh.write(emit_edge_list(w.graph)))
-    _write_atomic(out / "initial.colors", lambda fh: fh.write(emit_coloring(w.initial)))
+    _write_atomic(out / "graph.edges", partial(emit_edge_list, w.graph))
+    _write_atomic(out / "initial.colors", partial(emit_coloring, w.initial))
     u, v = w.merged_pair
     k_before, k_after = w.before.palette_size, w.after.palette_size
     note = [
@@ -186,11 +182,15 @@ def _cmd_search(args) -> int:
 
 def _cmd_gen(args) -> int:
     g = random_graph(args.n, args.p, args.seed)
-    text = f"# colorref gen n={args.n} p={args.p} seed={args.seed}\n" + emit_edge_list(g)
+
+    def write(fh: TextIO) -> None:
+        fh.write(f"# colorref gen n={args.n} p={args.p} seed={args.seed}\n")
+        emit_edge_list(g, fh)
+
     if args.out:
-        _write_atomic(Path(args.out), lambda fh: fh.write(text))
+        _write_atomic(Path(args.out), write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return EXIT_OK
 
 

@@ -18,16 +18,17 @@ Trace document
     Line-oriented ``key value...`` records in one canonical order (see
     emit_trace_document). ``#`` comments are ignored on parse, so callers
     may prepend provenance headers without breaking round-trips.
-    emit_trace_document writes the records into a text stream ``out`` as
-    it builds them, so a trace never has to be held in memory whole.
 
 Every parser takes the text or a text stream and reads it once, a chunk
 at a time, through one line reader (a str is read as slices); with each
 line it gives the token converter for the chunk the line came in. The
 graph parsers hand their checked edge ends to ``graph._from_ends``, the
-one builder of a Graph from edge ends, which ``new_graph`` uses too. All
-emitters are pure functions of their inputs, apart from writing to
-``out``, and produce byte-identical output for equal inputs.
+one builder of a Graph from edge ends, which ``new_graph`` uses too.
+
+Every emitter takes a text stream ``out`` last, writes its lines into it as
+it builds them and returns None, so no output has to be held in memory
+whole. All emitters are pure functions of their inputs, apart from writing
+to ``out``, and produce byte-identical output for equal inputs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .coloring import (
     partition_of,
 )
 from .graph import Graph, _from_ends, _typecode
-from .refine import RefinementTrace
+from .refine import RefinementTrace, _check_sizes
 
 
 class ParseError(ValueError):
@@ -271,16 +272,17 @@ def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Col
     return coloring_from_labels(labels)
 
 
-def emit_edge_list(g: Graph) -> str:
-    """Edge-list text with an explicit header, round-tripping isolated vertices."""
-    lines = [f"n {g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+def emit_edge_list(g: Graph, out: TextIO) -> None:
+    """Write the edge list into ``out``, with a header that keeps isolated vertices."""
+    out.write(f"n {g.vertex_count}\n")
+    for u, v in g.edges():
+        out.write(f"{u} {v}\n")
 
 
-def emit_coloring(c: Coloring) -> str:
-    """One ``v c`` line per vertex, in vertex order."""
-    return "".join(f"{v} {col}\n" for v, col in enumerate(c.colors))
+def emit_coloring(c: Coloring, out: TextIO) -> None:
+    """Write one ``v c`` line per vertex, in vertex order, into ``out``."""
+    for v, col in enumerate(c.colors):
+        out.write(f"{v} {col}\n")
 
 
 def _wheel_color(color: int) -> str:
@@ -291,18 +293,15 @@ def _wheel_color(color: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def emit_dot(g: Graph, c: Coloring) -> str:
-    """Undirected DOT text with vertices labeled ``id:color`` and filled by color."""
-    if len(c.colors) != g.vertex_count:
-        raise ValueError("coloring and graph have different vertex counts")
-    lines = ["graph coloring {", "  node [shape=circle style=filled];"]
-    for v in range(g.vertex_count):
-        col = c.colors[v]
-        lines.append(f'  v{v} [label="{v}:{col}" fillcolor="{_wheel_color(col)}"];')
+def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
+    """Write undirected DOT, vertices labeled ``id:color`` and filled by color, into ``out``."""
+    _check_sizes(g, c)
+    out.write("graph coloring {\n  node [shape=circle style=filled];\n")
+    for v, col in enumerate(c.colors):
+        out.write(f'  v{v} [label="{v}:{col}" fillcolor="{_wheel_color(col)}"];\n')
     for u, v in g.edges():
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        out.write(f"  v{u} -- v{v};\n")
+    out.write("}\n")
 
 
 @dataclass(frozen=True)

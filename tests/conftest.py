@@ -105,11 +105,16 @@ def index_portraits(portraits):
     return Coloring(tuple(rank[p] for p in portraits), len(rank))
 
 
+def written(emit, *args):
+    # the text emit(*args, out) writes into out
+    out = io.StringIO()
+    emit(*args, out)
+    return out.getvalue()
+
+
 def emitted(doc):
     # the text emit_trace_document writes for doc
-    out = io.StringIO()
-    emit_trace_document(doc, out)
-    return out.getvalue()
+    return written(emit_trace_document, doc)
 
 
 def edge_colors(doc):

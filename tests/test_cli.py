@@ -86,6 +86,17 @@ def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     assert edge_colors(doc) == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
 
 
+def test_refine_expand_edges_reads_a_coloring_of_the_expanded_graph(tmp_path, capsys):
+    # vertices 3..5 stand for the triangle's edges, so the file has 6 lines
+    c3 = write(tmp_path / "c3.edges", "0 1\n1 2\n0 2\n")
+    colors = write(tmp_path / "c3.colors", "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
+    trace = tmp_path / "c3.trace"
+    assert main(["refine", c3, "--expand-edges", "--coloring", colors,
+                 "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "n=6 m=6 K_final=2 converged_at=1\n"
+    assert parse_trace(trace.read_text()).trace.colorings[0].colors == (0, 0, 0, 1, 1, 1)
+
+
 def test_refine_parse_failure_names_file_and_line(tmp_path, capsys):
     bad = write(tmp_path / "bad.edges", "0 1\n1 1\n")
     assert main(["refine", bad]) == 2

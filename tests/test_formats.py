@@ -1,3 +1,4 @@
+import io
 import sys
 
 import pytest
@@ -36,6 +37,7 @@ from conftest import (
     kept_bytes,
     path_graph,
     peak_bytes,
+    written,
 )
 
 
@@ -112,7 +114,7 @@ def test_formats_agree_on_random_graphs():
         dimacs_text = f"p edge {g.vertex_count} {g.edge_count}\n" + "".join(
             f"e {u + 1} {v + 1}\n" for u, v in g.edges()
         )
-        assert parse_dimacs(dimacs_text) == parse_edge_list(emit_edge_list(g))
+        assert parse_dimacs(dimacs_text) == parse_edge_list(written(emit_edge_list, g))
 
 
 def test_parse_coloring_compacts_labels():
@@ -139,25 +141,25 @@ def test_parse_coloring_infers_vertex_count():
 
 def test_coloring_round_trip():
     c = coloring_from_labels([2, 0, 1, 0, 2])
-    assert parse_coloring(emit_coloring(c), 5) == c
+    assert parse_coloring(written(emit_coloring, c), 5) == c
 
 
 def test_edge_list_round_trip():
     for seed in range(4):
         g = random_graph(9, 0.3, seed)
-        assert parse_edge_list(emit_edge_list(g)) == g
+        assert parse_edge_list(written(emit_edge_list, g)) == g
 
 
 def test_emit_dot_single_vertex():
     g = new_graph(1, [])
-    out = emit_dot(g, zero_coloring(g))
+    out = written(emit_dot, g, zero_coloring(g))
     assert 'v0 [label="0:0"' in out
     assert "--" not in out
 
 
 def test_emit_dot_same_color_same_fill():
     g = new_graph(2, [(0, 1)])
-    out = emit_dot(g, zero_coloring(g))
+    out = written(emit_dot, g, zero_coloring(g))
     fills = [line.split("fillcolor=")[1] for line in out.splitlines() if "label" in line]
     assert fills[0] == fills[1]
     assert "  v0 -- v1;" in out
@@ -167,7 +169,7 @@ def test_emit_dot_distinguishes_classes():
     g = path_graph(3)
     c = refine_step(g, zero_coloring(g))
     assert c.colors == (0, 1, 0)
-    out = emit_dot(g, c)
+    out = written(emit_dot, g, c)
     fills = {}
     for line in out.splitlines():
         if "label=" in line:
@@ -179,7 +181,7 @@ def test_emit_dot_distinguishes_classes():
 def test_emit_dot_deterministic():
     g = random_graph(7, 0.5, 2)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    assert emit_dot(g, t.final) == emit_dot(g, t.final)
+    assert written(emit_dot, g, t.final) == written(emit_dot, g, t.final)
 
 
 def test_emitted_bytes_are_pinned(capsys):
@@ -187,9 +189,9 @@ def test_emitted_bytes_are_pinned(capsys):
     # the emitters wrote into a stream; vertex 4 is isolated
     g = new_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
     c = coloring_from_labels([0, 0, 1, 2, 1])
-    assert emit_edge_list(g) == "n 5\n0 1\n0 2\n1 2\n2 3\n"
-    assert emit_coloring(c) == "0 0\n1 0\n2 1\n3 2\n4 1\n"
-    assert emit_dot(g, c) == (
+    assert written(emit_edge_list, g) == "n 5\n0 1\n0 2\n1 2\n2 3\n"
+    assert written(emit_coloring, c) == "0 0\n1 0\n2 1\n3 2\n4 1\n"
+    assert written(emit_dot, g, c) == (
         "graph coloring {\n"
         "  node [shape=circle style=filled];\n"
         '  v0 [label="0:0" fillcolor="#ed6a6a"];\n'
@@ -282,12 +284,35 @@ class _Discard:
         return len(text)
 
 
-def test_emitting_into_a_stream_holds_no_whole_trace():
-    g = path_graph(300)
-    doc = trace_document(refine_to_fixpoint(g, zero_coloring(g)), g)
-    size = len(emitted(doc))
-    # holding the text whole would take its size at least
-    assert peak_bytes(emit_trace_document, doc, _Discard()) < size / 2
+def _path_trace(n):
+    g = path_graph(n)
+    return trace_document(refine_to_fixpoint(g, zero_coloring(g)), g)
+
+
+# Each emitter, a builder of inputs with a long text, and the graph whose
+# edge list the emitter builds, if any. emit_dot's graph has many vertices
+# and one edge, so its text is nearly all vertex lines.
+_ONE_EDGE = new_graph(3000, [(0, 1)])
+STREAM_CASES = [
+    pytest.param(emit_trace_document, lambda: (_path_trace(300),), None,
+                 id="emit_trace_document"),
+    pytest.param(emit_edge_list, lambda: (cycle_graph(3000),), cycle_graph(3000),
+                 id="emit_edge_list"),
+    pytest.param(emit_coloring, lambda: (coloring_from_labels(range(3000)),), None,
+                 id="emit_coloring"),
+    pytest.param(emit_dot, lambda: (_ONE_EDGE, coloring_from_labels(range(3000))), _ONE_EDGE,
+                 id="emit_dot"),
+]
+
+
+@pytest.mark.parametrize("emit, inputs, edges_of", STREAM_CASES)
+def test_emitting_into_a_stream_holds_no_whole_output(emit, inputs, edges_of):
+    args = inputs()
+    size = len(written(emit, *args))
+    # holding the text whole would take its size at least; the edge list
+    # built by g.edges() is allowed on top
+    allowance = 0 if edges_of is None else peak_bytes(edges_of.edges)
+    assert peak_bytes(emit, *args, _Discard()) < size / 2 + allowance
 
 
 def _dimacs(g):
@@ -307,7 +332,7 @@ def _expanded_torus(a):
 def test_parsed_and_built_graphs_hold_one_int_per_vertex():
     # Python caches no int above 256, and cycle_graph's ends are fresh ints
     g = cycle_graph(600)
-    for built in (g, parse_edge_list(emit_edge_list(g)), parse_dimacs(_dimacs(g))):
+    for built in (g, parse_edge_list(written(emit_edge_list, g)), parse_dimacs(_dimacs(g))):
         assert built == g
         assert len({id(x) for row in built.adjacency for x in row}) <= built.vertex_count
 
@@ -694,7 +719,7 @@ MESSAGE_CASES = [
     # argument checks of the library calls
     (Coloring, ((), -1), ValueError, "palette_size must be non-negative"),
     (random_graph, (-1, 0.5, 0), ValueError, "n must be non-negative"),
-    (emit_dot, (path_graph(2), coloring_from_labels([0])), ValueError,
+    (emit_dot, (path_graph(2), coloring_from_labels([0]), io.StringIO()), ValueError,
      "coloring and graph have different vertex counts"),
     (naive_refine, (path_graph(2), coloring_from_labels([0])), ValueError,
      "coloring and graph have different vertex counts"),
@@ -707,6 +732,8 @@ def test_exact_messages_and_precedence(fn, args, error, message):
         fn(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+    # an emitter checks its inputs before it writes a byte
+    assert all(arg.tell() == 0 for arg in args if isinstance(arg, io.StringIO))
 
 
 # Signed and zero-padded fields, an em-space separator and a "_" that sits
