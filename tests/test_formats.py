@@ -187,7 +187,8 @@ def test_emit_dot_deterministic():
 
 def test_emitted_bytes_are_pinned(capsys):
     # the exact text of each emitter and of `colorref gen`, recorded before
-    # the emitters wrote into a stream; vertex 4 is isolated
+    # the emitters wrote into a stream and, for the edge-expanded trace,
+    # before the document held its original graph; vertex 4 is isolated
     g = new_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
     c = coloring_from_labels([0, 0, 1, 2, 1])
     assert written(emit_edge_list, g) == "n 5\n0 1\n0 2\n1 2\n2 3\n"
@@ -206,6 +207,27 @@ def test_emitted_bytes_are_pinned(capsys):
         "  v2 -- v3;\n"
         "}\n"
     )
+    x = expand_edges(g)
+    doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), x, g)
+    text = emitted(doc)
+    assert text == (
+        "n 9\n"
+        "m 8\n"
+        "initial 0 0 0 0 0 0 0 0 0\n"
+        "palette_sizes 1 4 6 7 7\n"
+        "coloring 0 0 0 0 0 0 0 0 0\n"
+        "coloring 2 2 3 1 0 2 2 2 2\n"
+        "coloring 3 3 4 1 0 3 2 2 5\n"
+        "coloring 4 4 5 1 0 3 2 2 6\n"
+        "coloring 4 4 5 1 0 3 2 2 6\n"
+        "converged_at 4\n"
+        "class 0 1\nclass 2\nclass 3\nclass 4\nclass 5\nclass 6 7\nclass 8\n"
+        "edge_color 0 1 3\n"
+        "edge_color 0 2 2\n"
+        "edge_color 1 2 2\n"
+        "edge_color 2 3 6\n"
+    )
+    assert parse_trace(text) == doc
     assert main(["gen", "6", "0.5", "--seed", "9"]) == 0
     assert capsys.readouterr().out == (
         "# colorref gen n=6 p=0.5 seed=9\n"
