@@ -21,9 +21,11 @@ Trace document
 
 Every parser takes the text or a text stream and reads it once, a chunk
 at a time, through one line reader (a str is read as slices); with each
-line it gives the token converter for the chunk the line came in. The
-graph parsers hand their checked edge ends to ``graph._from_ends``, the
-one builder of a Graph from edge ends, which ``new_graph`` uses too.
+line it gives the token converter for the chunk the line came in. Every
+edge reader, the trace's ``edge_color`` records included, hands its
+checked edge ends to ``graph._from_ends``, the one builder of a Graph
+from edge ends, which ``new_graph`` uses too; every edge writer reads
+``Graph.edges()``.
 
 Every emitter takes a text stream ``out`` last, writes its lines into it as
 it builds them and returns None, so no output has to be held in memory
@@ -306,16 +308,17 @@ def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """One refinement run: its trace, the edge count and the original edges.
+    """One refinement run: its trace, the edge count and the graph it expanded.
 
-    ``edges`` holds the pair ``(u, v)`` of each original edge of an
-    edge-expanded run, and is empty otherwise. Edge ``i``'s color is read
-    from the trace: the final color of virtual vertex ``n - len(edges) + i``.
+    ``original`` is the graph an edge-expanded run was expanded from, or
+    None when the document has no ``edge_color`` record. Edge ``i`` of
+    ``original.edges()`` gets the final color of its virtual vertex
+    ``n - original.edge_count + i``, laid out as in ``expand_edges``.
     """
 
     trace: RefinementTrace
     edge_count: int
-    edges: tuple[tuple[int, int], ...]
+    original: Graph | None
 
 
 def trace_document(
@@ -323,22 +326,17 @@ def trace_document(
 ) -> TraceDocument:
     """Assemble the document for a finished run on ``g``.
 
-    With ``g = expand_edges(original)`` it records the pair of each original
-    edge i, whose color is that of virtual vertex ``original.vertex_count + i``.
+    With ``g = expand_edges(original)`` it keeps ``original`` itself, not a
+    copy of its edges; each edge's color is that of its virtual vertex, as
+    laid out in ``expand_edges``' docstring.
     """
-    edges = ()
     if original is not None:
         base, m = original.vertex_count, original.edge_count
         # an expansion has the input's degrees and then m rows of 2
         if g.vertex_count != base + m or g.offsets[base] != 2 * m:
             raise ValueError("g is not the edge expansion of original")
-        # the row of virtual vertex w is the pair u < v of the edge it stands
-        # for, so the virtual rows are contiguous pairs; each end is mapped to
-        # the one int object of its vertex
-        ids = list(range(base)).__getitem__
-        tail = g.targets[g.offsets[base]:]
-        edges = tuple(zip(map(ids, tail[::2]), map(ids, tail[1::2])))
-    return TraceDocument(trace, g.edge_count, edges)
+        original = original if m else None  # no edge, no edge_color record
+    return TraceDocument(trace, g.edge_count, original)
 
 
 # Values per write of a long record: bounds the text a record holds at once.
@@ -372,7 +370,8 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     # the classes of partition_of(trace.final), without a list per class
     for members in _classes(trace.final):
         _write_record(write, "class", members)
-    for w, (u, v) in enumerate(doc.edges, n - len(doc.edges)):
+    edges = doc.original.edges() if doc.original is not None else ()
+    for w, (u, v) in enumerate(edges, n - len(edges)):
         write(f"edge_color {u} {v} {final[w]}\n")
 
 
@@ -466,4 +465,5 @@ def parse_trace(source: str | TextIO) -> TraceDocument:
             raise ParseError("edge_color pairs are not in increasing order", lineno)
         if col != final.colors[base + i]:
             raise ParseError(f"edge_color {col} is not vertex {base + i}'s final color", lineno)
-    return TraceDocument(trace, m, tuple(values[:2] for _, values in edge_colors))
+    ends = [end for _, values in edge_colors for end in values[:2]]
+    return TraceDocument(trace, m, _from_ends(base, ends) if k else None)

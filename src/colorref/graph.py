@@ -28,10 +28,10 @@ class Graph:
     tuple of tuples, ``adjacency[v]`` that of ``v``.
 
     ``Graph(vertex_count, adjacency)`` checks such rows: range, order,
-    self-loops and that every edge is listed from both ends. ``new_graph``
-    and the graph parsers hand their checked edge ends to the one builder,
-    ``_from_ends``, and ``expand_edges`` derives its columns from its
-    input's; both build them correct by construction and skip that check.
+    self-loops and that every edge is listed from both ends. The parsers,
+    ``new_graph`` and ``random_graph`` hand their edge ends to the one
+    builder, ``_from_ends``, and ``expand_edges`` derives its columns from
+    its input's; all build them correct by construction and skip that check.
     Equality and hashing see only the vertex count and the rows. Instances
     and their columns are never written after construction, so they are
     safe to share between concurrent readers.
@@ -209,9 +209,9 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge_probability must be in [0, 1]")
-    # rng.random() once per pair u < v, in lexicographic order, and the
-    # edge kept when the draw is below edge_probability
+    # rng.random() once per pair u < v in lexicographic order; the edge,
+    # valid by construction, is kept when the draw is below edge_probability
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < edge_probability]
-    return new_graph(n, edges)
+    ends = [end for u in range(n) for v in range(u + 1, n)
+            if rng.random() < edge_probability for end in (u, v)]
+    return _from_ends(n, ends)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 
 from .coloring import Coloring, Partition, _splits, coloring_from_labels
-from .graph import Graph, new_graph
+from .graph import Graph, _from_ends
 from .refine import refine_to_fixpoint
 
 
@@ -116,8 +116,8 @@ def _connected_graphs(n: int) -> list[Graph]:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out = []
     for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = new_graph(n, edges)
+        ends = [end for i, pair in enumerate(pairs) if mask >> i & 1 for end in pair]
+        g = _from_ends(n, ends)  # the pairs are in range and loop-free
         if _is_connected(g):
             out.append(g)
     return out

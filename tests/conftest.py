@@ -120,9 +120,9 @@ def emitted(doc):
 def edge_colors(doc):
     # (u, v, color) of each original edge, as its edge_color record gives it:
     # the final color of the virtual vertex that stands for the edge
-    final = doc.trace.final.colors
-    virtual = final[len(final) - len(doc.edges):]
-    return tuple((u, v, col) for (u, v), col in zip(doc.edges, virtual))
+    final, edges = doc.trace.final.colors, doc.original.edges()
+    virtual = final[len(final) - len(edges):]
+    return tuple((u, v, col) for (u, v), col in zip(edges, virtual))
 
 
 def kept_bytes(fn, *args):

@@ -91,10 +91,10 @@ def test_cli_imports_only_the_standard_library():
 
 def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
     # Every other record (n, initial, palette sizes, colorings, classes and
-    # the edge colors) is read from the trace, so a second stored copy
-    # cannot drift from it.
+    # the edge colors) is read from the trace and the original graph, so a
+    # second stored copy cannot drift from them.
     names = tuple(f.name for f in dataclasses.fields(colorref.TraceDocument))
-    assert names == ("trace", "edge_count", "edges")
+    assert names == ("trace", "edge_count", "original")
 
 
 def test_refinement_trace_holds_only_its_colorings():

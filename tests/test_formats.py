@@ -312,10 +312,18 @@ def _path_trace(n):
     return trace_document(refine_to_fixpoint(g, zero_coloring(g)), g)
 
 
+def _expanded_run(g):
+    # the arguments of trace_document for the zero-start run on expand_edges(g)
+    x = expand_edges(g)
+    return refine_to_fixpoint(x, zero_coloring(x)), x, g
+
+
 # Each emitter with inputs whose text is long. emit_dot's graph has many
 # vertices and one edge, so its text is nearly all vertex lines.
 @pytest.mark.parametrize("emit, args", [
     pytest.param(emit_trace_document, (_path_trace(300),), id="emit_trace_document"),
+    pytest.param(emit_trace_document, (trace_document(*_expanded_run(cycle_graph(3000))),),
+                 id="emit_trace_document-expanded"),
     pytest.param(emit_edge_list, (cycle_graph(3000),), id="emit_edge_list"),
     pytest.param(emit_coloring, (coloring_from_labels(range(3000)),), id="emit_coloring"),
     pytest.param(emit_dot, (new_graph(3000, [(0, 1)]), coloring_from_labels(range(3000))),
@@ -324,8 +332,9 @@ def _path_trace(n):
 def test_emitting_into_a_stream_holds_no_whole_output(emit, args):
     size = len(written(emit, *args))
     # holding the text whole would take its size at least; emit_edge_list
-    # and emit_dot may hold the list g.edges() of their graph on top
-    g = args[0]
+    # and emit_dot may hold the list g.edges() of their graph on top, and
+    # emit_trace_document that of the graph its document expanded
+    g = getattr(args[0], "original", args[0])
     allowance = peak_bytes(g.edges) if isinstance(g, Graph) else 0
     assert peak_bytes(emit, *args, _Discard()) < size / 2 + allowance
 
@@ -377,6 +386,13 @@ def test_emitting_class_records_holds_no_list_per_class():
     assert peak_bytes(emit_trace_document, doc, _Discard()) < 28 * x.vertex_count
 
 
+def test_an_expanded_trace_document_holds_no_copy_of_its_edges():
+    run = _expanded_run(cycle_graph(3000))
+    # measured on these 3 000 original edges: 168 336 bytes kept with a
+    # (u, v) tuple per edge, 352 with the original graph shared
+    assert kept_bytes(trace_document, *run) < 1024
+
+
 def test_parsing_a_coloring_holds_one_slot_per_vertex():
     n = 43200
     text = "".join(f"{v} {v % 2}\n" for v in range(n))
@@ -425,7 +441,7 @@ def test_trace_document_rejects_a_graph_of_the_expansions_size():
 def _made_up_edge_colors():
     g = path_graph(4)
     t = refine_to_fixpoint(g, coloring_from_labels([0, 0, 0, 1]), max_iters=1)
-    return emitted(TraceDocument(t, g.edge_count, ((0, 1), (1, 2))))
+    return emitted(TraceDocument(t, g.edge_count, new_graph(3, [(0, 1), (1, 2)])))
 
 
 def _expanded_p4_text(old, new):
