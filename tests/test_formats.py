@@ -424,7 +424,7 @@ def test_parsing_dimacs_from_an_open_file_holds_less_than_its_text(tmp_path):
 def test_trace_document_rejects_an_original_it_was_not_expanded_from():
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    with pytest.raises(ValueError, match="not the edge expansion"):
+    with pytest.raises(ValueError, match="^g is not the edge expansion of original$"):
         trace_document(t, g, original=g)
 
 
@@ -433,7 +433,7 @@ def test_trace_document_rejects_a_graph_of_the_expansions_size():
     # the input rows of P_4 do not leave one pair per original edge
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    with pytest.raises(ValueError, match="not the edge expansion"):
+    with pytest.raises(ValueError, match="^g is not the edge expansion of original$"):
         trace_document(t, g, original=new_graph(3, [(0, 1)]))
 
 
@@ -454,7 +454,7 @@ def _expanded_p4_text(old, new):
     "text, message",
     [
         (_made_up_edge_colors(), "line 2: m = 3 is not twice the 2 edge_color records"),
-        (_expanded_p4_text("m 6", "m 5"), "line 2: m = 5 is not twice the 3 edge_color"),
+        (_expanded_p4_text("m 6", "m 5"), "line 2: m = 5 is not twice the 3 edge_color records"),
         (_expanded_p4_text("edge_color 2 3 1", "edge_color 2 3 2"),
          "line 13: edge_color 2 is not vertex 6's final color"),
         (_expanded_p4_text("edge_color 0 1 2\nedge_color 1 2 2",
@@ -465,17 +465,21 @@ def _expanded_p4_text(old, new):
          "line 12: edge_color pairs are not in increasing order"),
         (_expanded_p4_text("edge_color 0 1 2", "edge_color 1 0 2"),
          "line 11: edge_color pair 1 0 is not u < v below 4"),
+        # a loop in increasing order, with the right color
+        (_expanded_p4_text("edge_color 1 2 2", "edge_color 1 1 2"),
+         "line 12: edge_color pair 1 1 is not u < v below 4"),
         (_expanded_p4_text("edge_color 0 1 2", "edge_color -1 1 2"),
          "line 11: edge_color pair -1 1 is not u < v below 4"),
         (_expanded_p4_text("edge_color 2 3 1", "edge_color 2 4 1"),
          "line 13: edge_color pair 2 4 is not u < v below 4"),
     ],
     ids=["made-up", "m-not-twice-k", "wrong-color", "out-of-order", "repeated-pair",
-         "reversed-pair", "negative-vertex", "virtual-vertex-in-pair"],
+         "reversed-pair", "looped-pair", "negative-vertex", "virtual-vertex-in-pair"],
 )
 def test_parse_trace_rejects_edge_colors_that_do_not_fit(text, message):
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError) as info:
         parse_trace(text)
+    assert str(info.value) == message
 
 
 def test_parse_trace_ignores_comment_header():
@@ -750,6 +754,7 @@ MESSAGE_CASES = [
     # argument checks of the library calls
     (Coloring, ((), -1), ValueError, "palette_size must be non-negative"),
     (random_graph, (-1, 0.5, 0), ValueError, "n must be non-negative"),
+    (random_graph, (4, 1.5, 0), ValueError, "edge_probability must be in [0, 1]"),
     (emit_dot, (path_graph(2), coloring_from_labels([0]), io.StringIO()), ValueError,
      "coloring and graph have different vertex counts"),
     (naive_refine, (path_graph(2), coloring_from_labels([0])), ValueError,

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from colorref import Graph, expand_edges, new_graph, random_graph
@@ -133,6 +136,13 @@ def test_expand_is_deterministic():
 def test_random_graph_extremes():
     assert random_graph(5, 0, 1).edge_count == 0
     assert random_graph(5, 1, 1) == complete_graph(5)
+
+
+def test_random_graph_keeps_an_edge_only_when_its_draw_is_below_p():
+    # with two vertices and seed 0 the one pair gets the seed's first draw
+    draw = random.Random(0).random()
+    assert random_graph(2, draw, 0).edge_count == 0
+    assert random_graph(2, math.nextafter(draw, 1), 0).edge_count == 1
 
 
 def test_random_graph_deterministic():

@@ -13,6 +13,7 @@ from colorref import (
     violation_witness,
     zero_coloring,
 )
+from colorref.oracle import _connected_graphs
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -106,6 +107,13 @@ def test_search_is_deterministic():
     a = search_refinement_counterexample(max_n=4, seed=3, attempts=200)
     b = search_refinement_counterexample(max_n=4, seed=3, attempts=200)
     assert a == b
+
+
+def test_the_sweep_lists_each_labeled_connected_graph_once():
+    # 1, 4, 38 and 728 labeled connected graphs on 2 to 5 vertices (OEIS A001187)
+    for n, count in zip(range(2, 6), (1, 4, 38, 728)):
+        graphs = _connected_graphs(n)
+        assert len(graphs) == len(set(graphs)) == count
 
 
 def test_search_never_needs_graphs_above_five_vertices():
