@@ -754,11 +754,11 @@ MESSAGE_CASES = [
     # argument checks of the library calls
     (Coloring, ((), -1), ValueError, "palette_size must be non-negative"),
     (random_graph, (-1, 0.5, 0), ValueError, "n must be non-negative"),
-    (random_graph, (4, 1.5, 0), ValueError, "edge_probability must be in [0, 1]"),
     (emit_dot, (path_graph(2), coloring_from_labels([0]), io.StringIO()), ValueError,
      "coloring and graph have different vertex counts"),
     (naive_refine, (path_graph(2), coloring_from_labels([0])), ValueError,
      "coloring and graph have different vertex counts"),
+    (random_graph, (4, 1.5, 0), ValueError, "edge_probability must be in [0, 1]"),
 ]
 
 
