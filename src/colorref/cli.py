@@ -46,16 +46,17 @@ def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        # mkstemp makes the file 0600: give it the mode of the file it
-        # replaces, or else the one open() gives a new file
-        try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
+        # the file object owns fd from here, so a failure below closes it
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp makes the file 0600: give it the mode of the file it
+            # replaces, or else the one open() gives a new file
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(tmp, mode)
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -94,7 +95,7 @@ def _cmd_refine(args) -> int:
     if max_iters is not None and max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
     trace = refine_to_fixpoint(target, initial, max_iters)
-    doc = trace_document(trace, target, g if args.expand_edges else None)
+    doc = trace_document(trace, g, expanded=args.expand_edges)
     echo = (
         f"# colorref refine input={args.graph}"
         f" coloring={args.coloring or '-'}"

@@ -18,15 +18,16 @@ class Coloring:
 
     The palette is compact: every color in range is worn by at least one
     vertex. A coloring of zero vertices has palette_size 0. ``Coloring(...)``
-    checks this; the library's own builders (``coloring_from_labels``,
-    ``refine_step`` and ``zero_coloring``) are compact by construction and
-    skip the check.
+    stores any sequence of colors as a tuple and checks this; the library's
+    own builders (``coloring_from_labels``, ``refine_step`` and
+    ``zero_coloring``) are compact by construction and skip the check.
     """
 
     colors: tuple[int, ...]
     palette_size: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "colors", tuple(self.colors))
         k = self.palette_size
         if k < 0:
             raise ValueError("palette_size must be non-negative")

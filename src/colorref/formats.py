@@ -310,10 +310,10 @@ def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
 class TraceDocument:
     """One refinement run: its trace, the edge count and the graph it expanded.
 
-    ``original`` is the graph an edge-expanded run was expanded from, or
+    ``original`` is ``g`` of ``trace_document(trace, g, expanded=True)``, or
     None when the document has no ``edge_color`` record. Edge ``i`` of
     ``original.edges()`` gets the final color of its virtual vertex
-    ``n - original.edge_count + i``, laid out as in ``expand_edges``.
+    ``original.vertex_count + i``, laid out as in ``expand_edges``.
     """
 
     trace: RefinementTrace
@@ -322,21 +322,20 @@ class TraceDocument:
 
 
 def trace_document(
-    trace: RefinementTrace, g: Graph, original: Graph | None = None
+    trace: RefinementTrace, g: Graph, *, expanded: bool = False
 ) -> TraceDocument:
-    """Assemble the document for a finished run on ``g``.
+    """Assemble the document for a finished run on ``g``, or with ``expanded``
+    on ``expand_edges(g)``; ValueError unless the trace has that vertex count.
 
-    With ``g = expand_edges(original)`` it keeps ``original`` itself, not a
-    copy of its edges; each edge's color is that of its virtual vertex, as
-    laid out in ``expand_edges``' docstring.
+    An expanded document keeps ``g`` itself as ``original``, not a copy of
+    its edges, or None when ``g`` has no edge.
     """
-    if original is not None:
-        base, m = original.vertex_count, original.edge_count
-        # an expansion has the input's degrees and then m rows of 2
-        if g.vertex_count != base + m or g.offsets[base] != 2 * m:
-            raise ValueError("g is not the edge expansion of original")
-        original = original if m else None  # no edge, no edge_color record
-    return TraceDocument(trace, g.edge_count, original)
+    n, m = g.vertex_count, g.edge_count
+    if expanded:  # each edge of g is a vertex and two edges of the expansion
+        n, m = n + m, 2 * m
+    if len(trace.final.colors) != n:
+        raise ValueError(f"trace covers {len(trace.final.colors)} vertices, not n = {n}")
+    return TraceDocument(trace, m, g if expanded and m else None)
 
 
 # Values per write of a long record: bounds the text a record holds at once.

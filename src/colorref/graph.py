@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, pairwise
@@ -27,11 +26,11 @@ class Graph:
     ``adjacency`` is a view derived from them on first use: the rows as a
     tuple of tuples, ``adjacency[v]`` that of ``v``.
 
-    ``Graph(vertex_count, adjacency)`` checks such rows: range, order,
-    self-loops and that every edge is listed from both ends. The parsers,
-    ``new_graph`` and ``random_graph`` hand their edge ends to the one
-    builder, ``_from_ends``, and ``expand_edges`` derives its columns from
-    its input's; all build them correct by construction and skip that check.
+    ``Graph(vertex_count, adjacency)`` checks such rows, any sequences of
+    ids: range, order, self-loops and that every edge is listed from both
+    ends. The parsers, ``new_graph`` and ``random_graph`` hand their edge
+    ends to the one builder, ``_from_ends``, and ``expand_edges`` derives its
+    columns from its input's; all build them correct and skip that check.
     Equality and hashing see only the vertex count and the rows. Instances
     and their columns are never written after construction, so they are
     safe to share between concurrent readers.
@@ -62,7 +61,7 @@ class Graph:
                 prev = u
                 back[u].append(v)
         for v, row in enumerate(adjacency):
-            if row != tuple(back[v]):
+            if tuple(row) != tuple(back[v]):
                 u = min(set(row).symmetric_difference(back[v]))
                 raise ValueError(f"edge {{{u}, {v}}} is missing its reverse entry")
         targets = array(_typecode(n - 1), chain.from_iterable(adjacency))
@@ -96,11 +95,10 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs with ``u < v``, lexicographically ordered."""
         t = self.targets
-        # each row ascends, so its neighbours above u are a tail of it
         return [
             (u, v)
             for u, (a, b) in enumerate(pairwise(self.offsets))
-            for v in t[bisect(t, u, a, b):b]
+            for v in t[a:b] if v > u
         ]
 
 

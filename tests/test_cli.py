@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     assert main(["refine", p4, "--expand-edges", "--trace", str(trace)]) == 0
     doc = parse_trace(trace.read_text())
     assert edge_colors(doc) == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
+
+
+def test_refine_expand_edges_on_a_graph_without_edges(tmp_path, capsys):
+    # no edge, no virtual vertex and no edge_color record
+    n3 = write(tmp_path / "n3.edges", "n 3\n")
+    trace = tmp_path / "n3.trace"
+    assert main(["refine", n3, "--expand-edges", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "n=3 m=0 K_final=1 converged_at=1\n"
+    text = trace.read_text()
+    assert "\nm 0\n" in text and "edge_color" not in text
+    assert parse_trace(text).original is None
 
 
 def test_refine_expand_edges_reads_a_coloring_of_the_expanded_graph(tmp_path, capsys):
@@ -406,6 +418,12 @@ def test_a_count_too_large_for_memory_exits_2_naming_the_file(tmp_path, name, te
     assert proc.stderr == f"error: {path}: too large to hold in memory\n"
 
 
+def test_output_goes_into_directories_that_do_not_exist_yet(tmp_path, capsys, p5):
+    trace = tmp_path / "runs" / "p5" / "out.trace"
+    assert main(["refine", p5, "--trace", str(trace)]) == 0
+    assert trace.read_text().startswith("# colorref refine input=")
+
+
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
     class Interrupted(Exception):
         pass
@@ -423,6 +441,29 @@ def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
         _write_atomic(tmp_path / "old.trace", writer)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old.trace"]
     assert (tmp_path / "old.trace").read_text() == "old\n"
+
+
+def test_write_atomic_closes_the_temp_file_when_its_mode_cannot_be_set(
+    tmp_path, monkeypatch
+):
+    made = []
+
+    def mkstemp(**kwargs):
+        made.append(real_mkstemp(**kwargs))
+        return made[-1]
+
+    def chmod(path, mode):
+        raise OSError("chmod refused")
+
+    real_mkstemp = tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "chmod", chmod)
+    with pytest.raises(OSError, match="chmod refused"):
+        _write_atomic(tmp_path / "run.trace", lambda fh: fh.write("text\n"))
+    [(fd, tmp)] = made
+    with pytest.raises(OSError):
+        os.fstat(fd)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])

@@ -24,6 +24,28 @@ def test_coloring_validates_compactness():
     assert Coloring((), 0).palette_size == 0
 
 
+@pytest.mark.parametrize(
+    "colors, k, message",
+    [
+        ((0,), -1, "palette_size must be non-negative"),
+        ((0,), 10**19, "palette is not compact: 10000000000000000000 colors for 1 vertices"),
+        ((0, 5), 2, "color 5 of vertex 1 outside palette 0..1"),
+        ((0, 2, 0), 3, "palette is not compact: color 1 unused"),
+    ],
+    ids=["negative-palette", "palette-above-n", "color-outside", "color-unused"],
+)
+def test_coloring_constructor_rejects(colors, k, message):
+    with pytest.raises(ValueError) as info:
+        Coloring(colors, k)
+    assert str(info.value) == message
+
+
+def test_a_coloring_of_a_list_equals_its_tuple_twin():
+    c, twin = Coloring([0, 1, 0], 2), Coloring((0, 1, 0), 2)
+    assert type(c.colors) is tuple
+    assert c == twin and hash(c) == hash(twin)
+
+
 def test_compaction_orders_classes_by_original_label():
     assert col(7, 7, 9).colors == (0, 0, 1)
     assert col(9, 7).colors == (1, 0)

@@ -208,7 +208,7 @@ def test_emitted_bytes_are_pinned(capsys):
         "}\n"
     )
     x = expand_edges(g)
-    doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), x, g)
+    doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), g, expanded=True)
     text = emitted(doc)
     assert text == (
         "n 9\n"
@@ -276,7 +276,7 @@ def _expanded_p4_document():
     g = path_graph(4)
     x = expand_edges(g)
     t = refine_to_fixpoint(x, coloring_from_labels([0, 0, 0, 1, 0, 0, 0]), max_iters=1)
-    return trace_document(t, x, original=g)
+    return trace_document(t, g, expanded=True)
 
 
 def test_trace_round_trip_with_extras():
@@ -313,16 +313,18 @@ def _path_trace(n):
 
 
 def _expanded_run(g):
-    # the arguments of trace_document for the zero-start run on expand_edges(g)
+    # the positional arguments of trace_document(..., expanded=True) for the
+    # zero-start run on expand_edges(g)
     x = expand_edges(g)
-    return refine_to_fixpoint(x, zero_coloring(x)), x, g
+    return refine_to_fixpoint(x, zero_coloring(x)), g
 
 
 # Each emitter with inputs whose text is long. emit_dot's graph has many
 # vertices and one edge, so its text is nearly all vertex lines.
 @pytest.mark.parametrize("emit, args", [
     pytest.param(emit_trace_document, (_path_trace(300),), id="emit_trace_document"),
-    pytest.param(emit_trace_document, (trace_document(*_expanded_run(cycle_graph(3000))),),
+    pytest.param(emit_trace_document,
+                 (trace_document(*_expanded_run(cycle_graph(3000)), expanded=True),),
                  id="emit_trace_document-expanded"),
     pytest.param(emit_edge_list, (cycle_graph(3000),), id="emit_edge_list"),
     pytest.param(emit_coloring, (coloring_from_labels(range(3000)),), id="emit_coloring"),
@@ -390,7 +392,7 @@ def test_an_expanded_trace_document_holds_no_copy_of_its_edges():
     run = _expanded_run(cycle_graph(3000))
     # measured on these 3 000 original edges: 168 336 bytes kept with a
     # (u, v) tuple per edge, 352 with the original graph shared
-    assert kept_bytes(trace_document, *run) < 1024
+    assert kept_bytes(lambda: trace_document(*run, expanded=True)) < 1024
 
 
 def test_parsing_a_coloring_holds_one_slot_per_vertex():
@@ -421,20 +423,30 @@ def test_parsing_dimacs_from_an_open_file_holds_less_than_its_text(tmp_path):
     assert parse_file() == parse_dimacs(text)
 
 
-def test_trace_document_rejects_an_original_it_was_not_expanded_from():
+def test_trace_document_rejects_a_trace_of_another_graph():
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    with pytest.raises(ValueError, match="^g is not the edge expansion of original$"):
-        trace_document(t, g, original=g)
+    with pytest.raises(ValueError) as info:
+        trace_document(t, path_graph(5))
+    assert str(info.value) == "trace covers 4 vertices, not n = 5"
 
 
-def test_trace_document_rejects_a_graph_of_the_expansions_size():
-    # 3 + 1 vertices, as expand_edges of the one-edge original gives, but
-    # the input rows of P_4 do not leave one pair per original edge
+def test_an_expanded_trace_document_rejects_a_trace_of_the_unexpanded_graph():
+    # P_4 has 3 edges, so its expansion has 4 + 3 vertices
     g = path_graph(4)
     t = refine_to_fixpoint(g, zero_coloring(g))
-    with pytest.raises(ValueError, match="^g is not the edge expansion of original$"):
-        trace_document(t, g, original=new_graph(3, [(0, 1)]))
+    with pytest.raises(ValueError) as info:
+        trace_document(t, g, expanded=True)
+    assert str(info.value) == "trace covers 4 vertices, not n = 7"
+    x = expand_edges(g)
+    doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), g, expanded=True)
+    assert (len(doc.trace.final.colors), doc.edge_count, doc.original) == (7, 6, g)
+
+
+def test_a_run_from_a_list_colored_start_round_trips():
+    g = path_graph(3)
+    doc = trace_document(refine_to_fixpoint(g, Coloring([0, 1, 0], 2)), g)
+    assert parse_trace(emitted(doc)) == doc
 
 
 # Edge colors that do not fit the run; each text parsed before these checks.

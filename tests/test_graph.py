@@ -79,6 +79,14 @@ def test_graph_constructor_rejects(n, rows, message):
         Graph(n, rows)
 
 
+def test_graph_takes_rows_of_any_sequence():
+    assert Graph(2, [[1], [0]]) == Graph(2, ((1,), (0,)))
+    assert Graph(2, [[], []]) == new_graph(2, [])
+    with pytest.raises(ValueError) as info:
+        Graph(2, [[1], []])
+    assert str(info.value) == "edge {1, 0} is missing its reverse entry"
+
+
 def test_degree_star():
     g = star_graph(4)
     assert len(g.adjacency[0]) == 4

@@ -180,7 +180,7 @@ def test_parse_trace_round_trips_emitted_traces(gc):
     for cap in (1, None):
         for doc in (
             trace_document(refine_to_fixpoint(g, c, max_iters=cap), g),
-            trace_document(refine_to_fixpoint(x, x_start, max_iters=cap), x, g),
+            trace_document(refine_to_fixpoint(x, x_start, max_iters=cap), g, expanded=True),
         ):
             out = io.StringIO()
             assert emit_trace_document(doc, out) is None
