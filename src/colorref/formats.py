@@ -24,8 +24,8 @@ at a time, through one line reader (a str is read as slices); with each
 line it gives the token converter for the chunk the line came in. Every
 edge reader, the trace's ``edge_color`` records included, hands its
 checked edge ends to ``graph._from_ends``, the one builder of a Graph
-from edge ends, which ``new_graph`` uses too; every edge writer reads
-``Graph.edges()``.
+from edge ends, which ``new_graph`` uses too; every edge writer walks
+the pairs of ``Graph.edges()`` through ``Graph._pairs()``, with no list.
 
 Every emitter takes a text stream ``out`` last, writes its lines into it as
 it builds them and returns None, so no output has to be held in memory
@@ -277,7 +277,7 @@ def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Col
 def emit_edge_list(g: Graph, out: TextIO) -> None:
     """Write the edge list into ``out``, with a header that keeps isolated vertices."""
     out.write(f"n {g.vertex_count}\n")
-    for u, v in g.edges():
+    for u, v in g._pairs():
         out.write(f"{u} {v}\n")
 
 
@@ -301,7 +301,7 @@ def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
     out.write("graph coloring {\n  node [shape=circle style=filled];\n")
     for v, col in enumerate(c.colors):
         out.write(f'  v{v} [label="{v}:{col}" fillcolor="{_wheel_color(col)}"];\n')
-    for u, v in g.edges():
+    for u, v in g._pairs():
         out.write(f"  v{u} -- v{v};\n")
     out.write("}\n")
 
@@ -312,8 +312,9 @@ class TraceDocument:
 
     ``original`` is ``g`` of ``trace_document(trace, g, expanded=True)``, or
     None when the document has no ``edge_color`` record. Edge ``i`` of
-    ``original.edges()`` gets the final color of its virtual vertex
-    ``original.vertex_count + i``, laid out as in ``expand_edges``.
+    ``original``, in the order of ``original.edges()``, gets the final color
+    of its virtual vertex ``original.vertex_count + i``, laid out as in
+    ``expand_edges``; the emitter walks these edges without a list of them.
     """
 
     trace: RefinementTrace
@@ -369,9 +370,9 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     # the classes of partition_of(trace.final), without a list per class
     for members in _classes(trace.final):
         _write_record(write, "class", members)
-    edges = doc.original.edges() if doc.original is not None else ()
-    for w, (u, v) in enumerate(edges, n - len(edges)):
-        write(f"edge_color {u} {v} {final[w]}\n")
+    if (g := doc.original) is not None:
+        for w, (u, v) in enumerate(g._pairs(), n - g.edge_count):
+            write(f"edge_color {u} {v} {final[w]}\n")
 
 
 def parse_trace(source: str | TextIO) -> TraceDocument:

@@ -93,13 +93,16 @@ class Graph:
         return len(self.targets) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as ``(u, v)`` pairs with ``u < v``, lexicographically ordered."""
+        """A new list of all edges as pairs ``u < v``, lexicographically ordered."""
+        return list(self._pairs())
+
+    def _pairs(self):
+        # the one walk over the edges, in edges() order, with no list of them
         t = self.targets
-        return [
-            (u, v)
-            for u, (a, b) in enumerate(pairwise(self.offsets))
-            for v in t[a:b] if v > u
-        ]
+        for u, (a, b) in enumerate(pairwise(self.offsets)):
+            for v in t[a:b]:
+                if v > u:
+                    yield u, v
 
 
 def _from_ends(vertex_count: int, ends) -> Graph:
@@ -174,23 +177,24 @@ def expand_edges(g: Graph) -> Graph:
     virtual vertex of ``g.edges()[i]`` gets id ``n + i``, so equal inputs
     always produce identical expansions.
 
-    The columns are built from ``g``'s: an input vertex keeps its offset,
-    since its degree is unchanged, and each virtual vertex adds a row of 2,
-    its edge ``(u, v)``.
+    The columns are built from ``g``'s in one walk over its edges, with no
+    list per edge or row: an input vertex keeps its offset, since its
+    degree is unchanged, and its row gets the virtual vertices of its edges
+    in turn; each virtual vertex adds a row of 2, its edge ``(u, v)``.
     """
-    edge_list = g.edges()
-    n, m = g.vertex_count, len(edge_list)
-    rows: list = [[] for _ in range(n)]
-    # w grows with the edge index, so every row is built in increasing order.
-    for w, (u, v) in enumerate(edge_list, start=n):
-        rows[u].append(w)
-        rows[v].append(w)
-    # fromlist converts a list far faster than extend() an iterator
-    targets = array(_typecode(n + m - 1))
-    for row in rows:
-        targets.fromlist(row)
-    del rows
-    targets.fromlist(list(chain.from_iterable(edge_list)))
+    n, m = g.vertex_count, g.edge_count
+    targets = array(_typecode(n + m - 1), [0]) * (2 * m)
+    tail = array(targets.typecode)
+    cursor = g.offsets[:]  # where the next entry of each input row goes
+    # w grows with the edge index, so every row is filled in increasing order.
+    for w, (u, v) in enumerate(g._pairs(), n):
+        targets[cursor[u]] = w
+        cursor[u] += 1
+        targets[cursor[v]] = w
+        cursor[v] += 1
+        tail.append(u)
+        tail.append(v)
+    targets += tail
     offsets = array(_typecode(4 * m), g.offsets)
     offsets.extend(range(2 * m + 2, 4 * m + 1, 2))
     return Graph._csr(n + m, offsets, targets)

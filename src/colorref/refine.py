@@ -102,13 +102,17 @@ def refine_step(g: Graph, c: Coloring) -> Coloring:
 class RefinementTrace:
     """Full history of an iterated refinement: its colorings alone.
 
-    ``colorings[t]`` is the coloring after ``t`` steps (index 0 is the
-    start). ``converged_at`` is the last step if its coloring is isomorphic
-    to the one before, where a run stops, else None (the cap was hit).
-    It and ``palette_sizes`` are derived from ``colorings``, not stored.
+    ``colorings[t]`` is the coloring after ``t`` steps; index 0, the start,
+    is in every trace. ``converged_at`` is the last step if its coloring is
+    isomorphic to the one before, where a run stops, else None (the cap was
+    hit). It and ``palette_sizes`` are derived from ``colorings``, not stored.
     """
 
     colorings: tuple[Coloring, ...]
+
+    def __post_init__(self) -> None:
+        if not self.colorings:
+            raise ValueError("a trace holds at least its start coloring")
 
     @cached_property
     def converged_at(self) -> int | None:

@@ -19,6 +19,15 @@ def complete_graph(n):
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def torus_graph(a):
+    # C_a x C_a: vertex i * a + j is joined to its right and lower neighbours
+    return new_graph(a * a, [
+        (i * a + j, x * a + y)
+        for i in range(a) for j in range(a)
+        for x, y in ((i, (j + 1) % a), ((i + 1) % a, j))
+    ])
+
+
 def star_graph(leaves):
     return new_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from colorref import Graph, expand_edges, new_graph, random_graph
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from colorref import Graph, expand_edges, graph, new_graph, random_graph
+from conftest import complete_graph, cycle_graph, path_graph, peak_bytes, star_graph, torus_graph
 
 
 def test_triangle_construction():
@@ -139,6 +139,27 @@ def test_expand_counts_and_projection():
 def test_expand_is_deterministic():
     g = random_graph(9, 0.5, 11)
     assert expand_edges(g) == expand_edges(g)
+
+
+def test_expanding_holds_little_beyond_its_result():
+    g = torus_graph(60)
+    x = expand_edges(g)
+    size = sum(len(col) * col.itemsize for col in (x.offsets, x.targets))
+    # measured on these 7 200 edges: about 8 times the result's columns with
+    # a tuple per edge and a list per input row, about 1.5 times with one
+    # walk over the edges filling preallocated columns
+    assert peak_bytes(expand_edges, g) < 2 * size
+
+
+def test_expanded_columns_widen_exactly_where_their_values_stop_fitting(monkeypatch):
+    g = path_graph(4)  # expanded: ids up to n + m - 1 = 6, offsets up to 4m = 12
+    for limit in range(15):
+        # _typecode's 31-bit limit, lowered so that this small graph crosses it
+        monkeypatch.setattr(graph, "_typecode", lambda top: "i" if top < limit else "q")
+        x = expand_edges(g)
+        assert x.adjacency == ((4,), (4, 5), (5, 6), (6,), (0, 1), (1, 2), (2, 3))
+        assert x.targets.typecode == ("i" if 6 < limit else "q")
+        assert x.offsets.typecode == ("i" if 12 < limit else "q")
 
 
 def test_random_graph_extremes():

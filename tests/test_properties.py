@@ -34,6 +34,7 @@ from colorref import (
 )
 from colorref import formats
 from colorref.cli import main
+from colorref.graph import _typecode
 from conftest import (
     brute_inequitable_pair,
     brute_portrait,
@@ -132,7 +133,9 @@ def test_every_route_builds_the_reference_rows(n_pairs):
         assert hash(built) == hash(g)
         assert built.adjacency == want
         assert built.edge_count == len(built.edges())
-        assert expand_edges(built).adjacency == reference_expansion(n, want)
+        x, m = expand_edges(built), built.edge_count
+        assert x.adjacency == reference_expansion(n, want)
+        assert (x.targets.typecode, x.offsets.typecode) == (_typecode(n + m - 1), _typecode(4 * m))
 
 
 # refine_step, zero_coloring, coloring_from_labels and parse_coloring skip

@@ -6,6 +6,7 @@ import pytest
 from colorref import (
     Coloring,
     Graph,
+    RefinementTrace,
     coloring_from_labels,
     colorings_isomorphic,
     expand_edges,
@@ -28,6 +29,7 @@ from conftest import (
     path_graph,
     peak_bytes,
     star_graph,
+    torus_graph,
 )
 
 
@@ -144,13 +146,7 @@ def test_refine_step_size_mismatch():
 
 
 def test_refine_step_holds_no_key_per_vertex():
-    a = 60
-    torus = new_graph(a * a, [
-        (i * a + j, x * a + y)
-        for i in range(a) for j in range(a)
-        for x, y in ((i, (j + 1) % a), ((i + 1) % a, j))
-    ])
-    g = expand_edges(torus)
+    g = expand_edges(torus_graph(60))
     # the result's tuple alone takes 8 bytes per vertex; a key tuple per
     # vertex would add about 60 more
     assert peak_bytes(refine_step, g, zero_coloring(g)) < 32 * g.vertex_count
@@ -180,6 +176,13 @@ def test_fixpoint_four_cycle_nonzero_start():
     assert partition_of(t.final) == ((0, 2), (1, 3))
     # the first step merged vertices 0 and 2, so it is not a refinement
     assert not is_refinement(t.colorings[0], t.colorings[1])
+
+
+def test_a_trace_holds_at_least_its_start():
+    # every run holds its start; an empty trace has no final coloring
+    with pytest.raises(ValueError) as err:
+        RefinementTrace(())
+    assert str(err.value) == "a trace holds at least its start coloring"
 
 
 def test_fixpoint_empty_graph():
