@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+
+from ._record import _Record
 
 # A partition of the vertex set: disjoint non-empty classes covering all
 # vertices, members ascending within a class, classes ordered by smallest
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 Partition = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """Colors ``0 .. palette_size - 1`` assigned to vertices ``0 .. n - 1``.
 
     The palette is compact: every color in range is worn by at least one
@@ -23,30 +23,29 @@ class Coloring:
     ``zero_coloring``) are compact by construction and skip the check.
     """
 
-    colors: tuple[int, ...]
-    palette_size: int
+    _fields = ("colors", "palette_size")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
-        k = self.palette_size
+    def __init__(self, colors: Iterable[int], palette_size: int) -> None:
+        colors = tuple(colors)
+        k = palette_size
         if k < 0:
             raise ValueError("palette_size must be non-negative")
-        if k > len(self.colors):  # checked before allocating k slots
-            raise ValueError(f"palette is not compact: {k} colors for {len(self.colors)} vertices")
+        if k > len(colors):  # checked before allocating k slots
+            raise ValueError(f"palette is not compact: {k} colors for {len(colors)} vertices")
         used = [False] * k
-        for v, c in enumerate(self.colors):
+        for v, c in enumerate(colors):
             if not 0 <= c < k:
                 raise ValueError(f"color {c} of vertex {v} outside palette 0..{k - 1}")
             used[c] = True
         if not all(used):
             raise ValueError(f"palette is not compact: color {used.index(False)} unused")
+        vars(self).update(colors=colors, palette_size=palette_size)
 
     @classmethod
     def _unchecked(cls, colors: tuple[int, ...], palette_size: int) -> Coloring:
-        # For colors the caller built compact by construction: skips __post_init__.
+        # For colors the caller built compact by construction: no checks.
         c = object.__new__(cls)
-        object.__setattr__(c, "colors", colors)
-        object.__setattr__(c, "palette_size", palette_size)
+        vars(c).update(colors=colors, palette_size=palette_size)
         return c
 
 

@@ -38,11 +38,11 @@ from __future__ import annotations
 import colorsys
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, zip_longest
 from typing import TextIO
 
+from ._record import _Record
 from .coloring import (
     Coloring,
     _classes,
@@ -66,7 +66,7 @@ class ParseError(ValueError):
 
 # Characters per read of a text stream and per str.splitlines call: bounds
 # the text and the lines held at once.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 def _blocks(source: str | TextIO):
@@ -306,8 +306,7 @@ def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
     out.write("}\n")
 
 
-@dataclass(frozen=True)
-class TraceDocument:
+class TraceDocument(_Record):
     """One refinement run: its trace, the edge count and the graph it expanded.
 
     ``original`` is ``g`` of ``trace_document(trace, g, expanded=True)``, or
@@ -317,9 +316,10 @@ class TraceDocument:
     ``expand_edges``; the emitter walks these edges without a list of them.
     """
 
-    trace: RefinementTrace
-    edge_count: int
-    original: Graph | None
+    _fields = ("trace", "edge_count", "original")
+
+    def __init__(self, trace: RefinementTrace, edge_count: int, original: Graph | None) -> None:
+        vars(self).update(trace=trace, edge_count=edge_count, original=original)
 
 
 def trace_document(

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, pairwise
 from operator import lt, or_
+
+from ._record import _Record
 
 
 def _typecode(top: int) -> str:
@@ -15,8 +16,7 @@ def _typecode(top: int) -> str:
     return "i" if top < 1 << 31 else "q"
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class Graph(_Record):
     """A simple undirected graph on vertices ``0 .. vertex_count - 1``.
 
     The rows are stored once, in compressed sparse rows (CSR): two flat
@@ -36,9 +36,7 @@ class Graph:
     safe to share between concurrent readers.
     """
 
-    vertex_count: int
-    offsets: array
-    targets: array
+    _fields = ("vertex_count", "offsets", "targets")
 
     def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
         n = vertex_count

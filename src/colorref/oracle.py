@@ -11,9 +11,9 @@ colorings for isomorphism. Agreement is therefore evidence, not a tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import cycle, islice
 
+from ._record import _Record
 from .coloring import Coloring, Partition, _splits, coloring_from_labels
 from .graph import Graph, _from_ends
 from .refine import refine_to_fixpoint
@@ -52,8 +52,7 @@ def naive_refine(g: Graph, initial: Coloring) -> Partition:
     raise RuntimeError("partition did not settle within the round cap")
 
 
-@dataclass(frozen=True)
-class CounterexampleWitness:
+class CounterexampleWitness(_Record):
     """A recorded step at which recoloring merged two classes.
 
     ``merged_pair`` is the least pair ``u < v`` of vertices with equal
@@ -62,12 +61,21 @@ class CounterexampleWitness:
     shrink at such a step but need not.
     """
 
-    graph: Graph
-    initial: Coloring
-    step: int
-    merged_pair: tuple[int, int]
-    before: Coloring
-    after: Coloring
+    _fields = ("graph", "initial", "step", "merged_pair", "before", "after")
+
+    def __init__(
+        self,
+        graph: Graph,
+        initial: Coloring,
+        step: int,
+        merged_pair: tuple[int, int],
+        before: Coloring,
+        after: Coloring,
+    ) -> None:
+        vars(self).update(
+            graph=graph, initial=initial, step=step, merged_pair=merged_pair,
+            before=before, after=after,
+        )
 
     @property
     def palette_shrank(self) -> bool:

@@ -23,10 +23,10 @@ palette size, and then sorts the distinct ones to rank them.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
+from ._record import _Record
 from .coloring import Coloring, _splits, colorings_isomorphic
 from .graph import Graph
 
@@ -98,8 +98,7 @@ def refine_step(g: Graph, c: Coloring) -> Coloring:
     return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(rank))
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(_Record):
     """Full history of an iterated refinement: its colorings alone.
 
     ``colorings[t]`` is the coloring after ``t`` steps; index 0, the start,
@@ -108,11 +107,12 @@ class RefinementTrace:
     hit). It and ``palette_sizes`` are derived from ``colorings``, not stored.
     """
 
-    colorings: tuple[Coloring, ...]
+    _fields = ("colorings",)
 
-    def __post_init__(self) -> None:
-        if not self.colorings:
+    def __init__(self, colorings: tuple[Coloring, ...]) -> None:
+        if not colorings:
             raise ValueError("a trace holds at least its start coloring")
+        vars(self).update(colorings=colorings)
 
     @cached_property
     def converged_at(self) -> int | None:

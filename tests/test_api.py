@@ -1,10 +1,13 @@
-import dataclasses
+import copy
 import importlib
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import colorref
 import colorref.cli
@@ -74,33 +77,96 @@ def test_library_modules_define_no_unexported_public_names():
 
 def test_cli_imports_only_the_standard_library():
     # Compared against the modules already loaded at start-up, since site
-    # hooks may import third-party packages before any user code runs.
+    # hooks may import third-party packages before any user code runs. The
+    # second line lists what every command would pay to load and never
+    # uses: dataclasses pulls in inspect, and inspect ast, dis and tokenize.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import colorref.cli\n"
-        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "added = set(sys.modules) - before\n"
+        "tops = {name.partition('.')[0] for name in added}\n"
         "print(*sorted(tops - set(sys.stdlib_module_names) - {'colorref'}))\n"
+        "print(*sorted(added & {'dataclasses', 'inspect'}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(colorref.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout == "\n"
+    assert proc.stdout == "\n\n"
 
 
 def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
     # Every other record (n, initial, palette sizes, colorings, classes and
     # the edge colors) is read from the trace and the original graph, so a
     # second stored copy cannot drift from them.
-    names = tuple(f.name for f in dataclasses.fields(colorref.TraceDocument))
-    assert names == ("trace", "edge_count", "original")
+    g = colorref.new_graph(3, [(0, 1), (1, 2)])
+    x = colorref.expand_edges(g)
+    trace = colorref.refine_to_fixpoint(x, colorref.zero_coloring(x))
+    doc = colorref.trace_document(trace, g, expanded=True)
+    assert vars(doc) == {"trace": trace, "edge_count": 4, "original": g}
 
 
 def test_refinement_trace_holds_only_its_colorings():
     # converged_at and the palette sizes are read from the colorings
-    names = tuple(f.name for f in dataclasses.fields(colorref.RefinementTrace))
-    assert names == ("colorings",)
+    colorings = (colorref.Coloring((0, 0), 1), colorref.Coloring((1, 0), 2))
+    assert vars(colorref.RefinementTrace(colorings)) == {"colorings": colorings}
+
+
+# Each public record's stored fields, in order.
+RECORD_FIELDS = {
+    "Coloring": ("colors", "palette_size"),
+    "CounterexampleWitness": ("graph", "initial", "step", "merged_pair", "before", "after"),
+    "Graph": ("vertex_count", "offsets", "targets"),
+    "RefinementTrace": ("colorings",),
+    "TraceDocument": ("trace", "edge_count", "original"),
+}
+
+
+def _record_arguments(name):
+    # The constructor's keyword arguments for a small record of class
+    # ``name``, from new objects on every call, and one argument changed.
+    c0 = colorref.Coloring((0, 0, 0), 1)
+    c = colorref.Coloring([0, 1, 0], 2)
+    g = colorref.new_graph(3, [(0, 1), (1, 2)])
+    trace = colorref.RefinementTrace((c0, c))
+    return {
+        "Coloring": ({"colors": (0, 1, 0), "palette_size": 2}, {"colors": (1, 0, 1)}),
+        "CounterexampleWitness": (
+            {"graph": g, "initial": c, "step": 0, "merged_pair": (0, 2), "before": c, "after": c0},
+            {"step": 1},
+        ),
+        "Graph": (
+            {"vertex_count": 3, "adjacency": ((1,), (0, 2), (1,))},
+            {"adjacency": ((2,), (), (0,))},
+        ),
+        "RefinementTrace": ({"colorings": (c0, c)}, {"colorings": (c0,)}),
+        "TraceDocument": ({"trace": trace, "edge_count": 2, "original": None}, {"edge_count": 3}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_are_immutable_values(name):
+    cls = getattr(colorref, name)
+    kwargs, changed = _record_arguments(name)
+    a = cls(**kwargs)
+    b = cls(*_record_arguments(name)[0].values())
+    assert a == b and hash(a) == hash(b)
+    c = cls(**{**kwargs, **changed})
+    assert a != c and hash(a) != hash(c)
+    for field in (*RECORD_FIELDS[name], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    values = tuple(getattr(a, field) for field in RECORD_FIELDS[name])
+    assert a == b and a != values and values != a
+    assert a.__eq__(values) is NotImplemented  # so the tuple's side decides
+    for other in RECORD_FIELDS.keys() - {name}:
+        assert a != getattr(colorref, other)(**_record_arguments(other)[0])
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    shown = ", ".join(f"{f}={v!r}" for f, v in zip(RECORD_FIELDS[name], values))
+    assert repr(a) == f"{name}({shown})"
 
 
 def test_benchmark_wraps_only_names_the_cli_has(monkeypatch):
