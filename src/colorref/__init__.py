@@ -9,6 +9,7 @@ cap. The package bundles the engine, comparison predicates, an
 independent brute-force oracle, text formats, and a CLI.
 """
 
+from ._trace import TraceDocument, emit_trace_document, parse_trace, trace_document
 from .coloring import (
     Coloring,
     Partition,
@@ -18,16 +19,12 @@ from .coloring import (
 )
 from .formats import (
     ParseError,
-    TraceDocument,
     emit_coloring,
     emit_dot,
     emit_edge_list,
-    emit_trace_document,
     parse_coloring,
     parse_dimacs,
     parse_edge_list,
-    parse_trace,
-    trace_document,
 )
 from .graph import (
     Graph,

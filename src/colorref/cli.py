@@ -17,16 +17,15 @@ from functools import partial
 from pathlib import Path
 from typing import TextIO
 
+from ._trace import emit_trace_document, trace_document
 from .coloring import colorings_isomorphic
 from .formats import (
     emit_coloring,
     emit_dot,
     emit_edge_list,
-    emit_trace_document,
     parse_coloring,
     parse_dimacs,
     parse_edge_list,
-    trace_document,
 )
 from .graph import expand_edges, random_graph
 from .oracle import search_refinement_counterexample

@@ -6,6 +6,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 
 from ._record import _Record
+from .graph import _typecode
 
 # A partition of the vertex set: disjoint non-empty classes covering all
 # vertices, members ascending within a class, classes ordered by smallest
@@ -104,7 +105,7 @@ def _classes(c: Coloring) -> Iterator[Iterator[int]]:
     # ascending members; no list per class: after[v] is the next vertex of
     # v's color (-1 past the last) and head[k] the first of color k.
     colors = c.colors
-    after = array("q", [-1]) * len(colors)
+    after = array(_typecode(len(colors) - 1), [-1]) * len(colors)  # signed: -1 fits
     head = [-1] * c.palette_size
     for v in range(len(colors) - 1, -1, -1):
         k = colors[v]
@@ -126,4 +127,8 @@ def partition_of(c: Coloring) -> Partition:
     Two colorings are isomorphic exactly when their partitions are equal,
     which gives partition equality a bit-exact meaning for cross-checks.
     """
-    return tuple(map(tuple, _classes(c)))
+    classes: list[list[int]] = [[] for _ in range(c.palette_size)]
+    for v, k in enumerate(c.colors):
+        classes[k].append(v)
+    # disjoint classes compare by their smallest members
+    return tuple(sorted(map(tuple, classes)))

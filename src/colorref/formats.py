@@ -1,4 +1,5 @@
-"""Text formats: graph and coloring parsers, DOT export, trace documents.
+"""Text formats: graph and coloring parsers, DOT export, and the line
+reader that ``_trace``'s trace documents share.
 
 Edge list
     One edge per line as ``u v`` (0-based ids). Blank lines and lines
@@ -14,18 +15,18 @@ Coloring file
     Labels are compacted to 0..K-1 on parse, classes ordered by their
     original label.
 
-Trace document
-    Line-oriented ``key value...`` records in one canonical order (see
-    emit_trace_document). ``#`` comments are ignored on parse, so callers
-    may prepend provenance headers without breaking round-trips.
-
-Every parser takes the text or a text stream and reads it once, a chunk
-at a time, through one line reader (a str is read as slices); with each
-line it gives the token converter for the chunk the line came in. Every
-edge reader, the trace's ``edge_color`` records included, hands its
-checked edge ends to ``graph._from_ends``, the one builder of a Graph
-from edge ends, which ``new_graph`` uses too; every edge writer walks
-the pairs of ``Graph.edges()`` through ``Graph._pairs()``, with no list.
+Every parser, ``parse_trace`` too, takes the text or a text stream and
+reads it once, a chunk at a time, through one line reader (a str is read
+as slices). The edge-list, DIMACS and coloring parsers give it a hook
+that takes a piece of a chunk whole when every line is in the parser's
+plain shape, ``u v`` or DIMACS ``e u v`` with fields of at most 18 ASCII
+digits, one space apart, and "\n" at the end, and passes the parser's
+line checks; every other piece is read a line at a time, which gives
+every message and line number. Every edge reader, the trace's
+``edge_color`` records included, hands its checked edge ends to
+``graph._from_ends``, the one builder of a Graph from edge ends, which
+``new_graph`` uses too; every edge writer walks the pairs of
+``Graph.edges()`` through ``Graph._pairs()``, with no list.
 
 Every emitter takes a text stream ``out`` last, writes its lines into it as
 it builds them and returns None, so no output has to be held in memory
@@ -36,22 +37,16 @@ to ``out``, and produce byte-identical output for equal inputs.
 from __future__ import annotations
 
 import colorsys
+import re
 import sys
 from array import array
 from functools import partial
-from itertools import islice, zip_longest
+from operator import eq
 from typing import TextIO
 
-from ._record import _Record
-from .coloring import (
-    Coloring,
-    _classes,
-    coloring_from_labels,
-    colorings_isomorphic,
-    partition_of,
-)
+from .coloring import Coloring, coloring_from_labels
 from .graph import Graph, _from_ends, _typecode
-from .refine import RefinementTrace, _check_sizes
+from .refine import _check_sizes
 
 
 class ParseError(ValueError):
@@ -64,18 +59,17 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Characters per read of a text stream and per str.splitlines call: bounds
-# the text and the lines held at once.
+# Characters per read of a text stream: bounds the text held at once.
 _CHUNK = 1 << 14
 
 
 def _blocks(source: str | TextIO):
-    # Pieces of ``source``, a str or a text stream, read _CHUNK characters
+    # Blocks of ``source``, a str or a text stream, read _CHUNK characters
     # at a time (a str gives its slices) and cut just after the last "\n"
-    # of each read, so each piece but the last ends with one. A "\n" is a
+    # of each read, so each block but the last ends with one. A "\n" is a
     # line break for splitlines too and never splits a "\r\n", so the lines
-    # of the pieces and their numbers are exactly those of the whole text's
-    # splitlines().
+    # of the blocks, or of pieces cut from them at a "\n", and their numbers
+    # are exactly those of the whole text's splitlines().
     if isinstance(source, str):
         reads = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
     else:
@@ -93,9 +87,29 @@ def _blocks(source: str | TextIO):
         yield last
 
 
-def _content_lines(source: str | TextIO, comment: str):
+# Characters per piece of a block: bounds the lines, fields and ints held
+# at once.
+_PIECE = 1 << 12
+
+# The plain shapes: lines of two fields, after an "e" in DIMACS, of 1 to 18
+# ASCII digits (below 2**63), one space apart, each ending in "\n". These
+# patterns find in "\n" + piece a "\n", other than the last, that starts no
+# such line; a piece is plain when they find none. A search holds no memory
+# per line, where a full match of repeated lines holds about 18 bytes per
+# character.
+_NOT_PAIRS = re.compile(r"\n(?!\Z)(?![0-9]{1,18} [0-9]{1,18}\n)")
+_NOT_EDGES = re.compile(r"\n(?!\Z)(?!e [0-9]{1,18} [0-9]{1,18}\n)")
+
+
+def _content_lines(source: str | TextIO, comment: str, plain=None):
     """Yield ``(line number, fields, to_int)`` of each line that is neither
     blank nor a comment.
+
+    Each block is cut at a "\n" into pieces of about _PIECE characters.
+    The parser's hook ``plain``, if any, gets each piece and the number of
+    its first line. It takes the piece's lines and returns True only for a
+    piece in the parser's plain shape that passes the parser's line checks;
+    the lines of every other piece are yielded.
 
     ``to_int`` is the token converter for the piece the line came in:
     ``int`` itself where it is exact. On a whitespace-free token int()
@@ -106,13 +120,21 @@ def _content_lines(source: str | TextIO, comment: str):
     """
     first = 1
     for block in _blocks(source):
-        to_int = int if block.isascii() and "_" not in block else _strict_int
-        lines = block.splitlines()
-        for lineno, raw in enumerate(lines, first):
-            parts = raw.split()
-            if parts and not parts[0].startswith(comment):
-                yield lineno, parts, to_int
-        first += len(lines)
+        start = 0
+        while start < len(block):
+            end = block.find("\n", start + _PIECE) + 1 or len(block)
+            piece = block[start:end]
+            start = end
+            if plain is not None and plain(piece, first):
+                first += piece.count("\n")  # a plain piece's only line break
+                continue
+            to_int = int if piece.isascii() and "_" not in piece else _strict_int
+            lines = piece.splitlines()
+            for lineno, raw in enumerate(lines, first):
+                parts = raw.split()
+                if parts and not parts[0].startswith(comment):
+                    yield lineno, parts, to_int
+            first += len(lines)
 
 
 def _strict_int(token: str) -> int:
@@ -142,7 +164,21 @@ def parse_edge_list(source: str | TextIO) -> Graph:
     lines = array("q")  # the line of each edge
     wide: dict[int, int] = {}  # line: larger end, of each edge with one past 64 bits
     max_id = -1
-    for lineno, parts, to_int in _content_lines(source, "#"):
+
+    def plain(piece: str, first: int) -> bool:
+        # "u v" lines with no self-loop; 18 digits keep each end in 64 bits
+        nonlocal max_id
+        if _NOT_PAIRS.search("\n" + piece):
+            return False
+        ids = list(map(int, piece.split()))
+        if any(map(eq, ids[::2], ids[1::2])):
+            return False
+        max_id = max(max_id, max(ids))
+        ends.extend(ids)
+        lines.extend(range(first, first + len(ids) // 2))
+        return True
+
+    for lineno, parts, to_int in _content_lines(source, "#", plain):
         if parts[0] == "n":
             if declared is not None:
                 raise ParseError("duplicate vertex-count header", lineno)
@@ -191,7 +227,20 @@ def parse_edge_list(source: str | TextIO) -> Graph:
 def parse_dimacs(source: str | TextIO) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
-    for lineno, parts, to_int in _content_lines(source, "c"):
+
+    def plain(piece: str, first: int) -> bool:
+        # "e u v" lines after the problem line, in range and with no self-loop
+        if n is None or _NOT_EDGES.search("\n" + piece):
+            return False
+        fields = piece.split()
+        del fields[::3]  # the "e"s
+        ids = list(map(int, fields))
+        if min(ids) < 1 or max(ids) > n or any(map(eq, ids[::2], ids[1::2])):
+            return False
+        ends.extend(ids)
+        return True
+
+    for lineno, parts, to_int in _content_lines(source, "c", plain):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -203,8 +252,8 @@ def parse_dimacs(source: str | TextIO) -> Graph:
                 raise ParseError("vertex count must be non-negative", lineno)
             if n > sys.maxsize:  # also keeps every id within ends' 64 bits
                 raise ParseError(_TOO_MANY, lineno)
-            # u, v of each edge in turn: 4 bytes each where they fit
-            ends = array(_typecode(n - 1))
+            # u, v of each edge in turn, 1-based: 4 bytes each where they fit
+            ends = array(_typecode(n))
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line precedes the problem line", lineno)
@@ -219,13 +268,13 @@ def parse_dimacs(source: str | TextIO) -> Graph:
                 raise ParseError(f"vertex id outside 1..{n}", lineno)
             if u == v:
                 raise ParseError(f"self-loop {u} {v}", lineno)
-            ends.append(u - 1)
-            ends.append(v - 1)
+            ends.append(u)
+            ends.append(v)
         else:
             raise ParseError(f"unrecognized record {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    return _from_ends(n, ends)
+    return _from_ends(n, ends, 1)
 
 
 def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Coloring:
@@ -238,7 +287,22 @@ def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Col
     # None while unassigned; ahead holds the ids read at or past that number
     labels: list = []
     ahead: dict[int, int] = {}
-    for lineno, parts, to_int in _content_lines(source, "#"):
+
+    def plain(piece: str, first: int) -> bool:
+        # "v c" lines with nothing held ahead and the ids going on from
+        # len(labels) in order, none of them at or past vertex_count
+        if ahead or _NOT_PAIRS.search("\n" + piece):
+            return False
+        fields = piece.split()
+        top = len(labels) + len(fields) // 2
+        if vertex_count is not None and top > vertex_count or (
+            fields[::2] != list(map(str, range(len(labels), top)))
+        ):
+            return False
+        labels.extend(map(int, fields[1::2]))
+        return True
+
+    for lineno, parts, to_int in _content_lines(source, "#", plain):
         if len(parts) != 2:
             raise ParseError(f"expected 'v c', got {' '.join(parts)!r}", lineno)
         try:
@@ -304,166 +368,3 @@ def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
     for u, v in g._pairs():
         out.write(f"  v{u} -- v{v};\n")
     out.write("}\n")
-
-
-class TraceDocument(_Record):
-    """One refinement run: its trace, the edge count and the graph it expanded.
-
-    ``original`` is ``g`` of ``trace_document(trace, g, expanded=True)``, or
-    None when the document has no ``edge_color`` record. Edge ``i`` of
-    ``original``, in the order of ``original.edges()``, gets the final color
-    of its virtual vertex ``original.vertex_count + i``, laid out as in
-    ``expand_edges``; the emitter walks these edges without a list of them.
-    """
-
-    _fields = ("trace", "edge_count", "original")
-
-    def __init__(self, trace: RefinementTrace, edge_count: int, original: Graph | None) -> None:
-        vars(self).update(trace=trace, edge_count=edge_count, original=original)
-
-
-def trace_document(
-    trace: RefinementTrace, g: Graph, *, expanded: bool = False
-) -> TraceDocument:
-    """Assemble the document for a finished run on ``g``, or with ``expanded``
-    on ``expand_edges(g)``; ValueError unless the trace has that vertex count.
-
-    An expanded document keeps ``g`` itself as ``original``, not a copy of
-    its edges, or None when ``g`` has no edge.
-    """
-    n, m = g.vertex_count, g.edge_count
-    if expanded:  # each edge of g is a vertex and two edges of the expansion
-        n, m = n + m, 2 * m
-    if len(trace.final.colors) != n:
-        raise ValueError(f"trace covers {len(trace.final.colors)} vertices, not n = {n}")
-    return TraceDocument(trace, m, g if expanded and m else None)
-
-
-# Values per write of a long record: bounds the text a record holds at once.
-_SLICE = 1024
-
-
-def _write_record(write, key: str, values) -> None:
-    write(key)
-    it = iter(values)
-    while part := tuple(islice(it, _SLICE)):
-        write(" %d" * len(part) % part)  # one pass, no str per value
-    write("\n")
-
-
-def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
-    """Serialize in the canonical field order; equal documents yield equal bytes.
-
-    The records are written to the text stream ``out`` one at a time, long
-    ones in slices; no line is kept after it is written.
-    """
-    write, trace = out.write, doc.trace
-    final = trace.final.colors
-    n = len(final)
-    write(f"n {n}\nm {doc.edge_count}\n")
-    _write_record(write, "initial", trace.colorings[0].colors)
-    _write_record(write, "palette_sizes", trace.palette_sizes)
-    for coloring in trace.colorings:
-        _write_record(write, "coloring", coloring.colors)
-    marker = "none" if trace.converged_at is None else str(trace.converged_at)
-    write(f"converged_at {marker}\n")
-    # the classes of partition_of(trace.final), without a list per class
-    for members in _classes(trace.final):
-        _write_record(write, "class", members)
-    if (g := doc.original) is not None:
-        for w, (u, v) in enumerate(g._pairs(), n - g.edge_count):
-            write(f"edge_color {u} {v} {final[w]}\n")
-
-
-def parse_trace(source: str | TextIO) -> TraceDocument:
-    """Parse trace-document text, or a text stream, back into an equal TraceDocument.
-
-    Besides the syntax, the records must agree: ``n``, ``m``, ``initial``,
-    ``palette_sizes`` and ``converged_at`` appear once each and ``n`` and
-    ``m`` are non-negative; every coloring has ``n`` entries and is a
-    ``Coloring`` with the palette size of its ``palette_sizes`` entry; the
-    classes are ``partition_of`` the last coloring; a ``converged_at``
-    step lies in ``1 .. len(colorings) - 1`` and is the first step whose
-    coloring is isomorphic to the one before it, and the last step, while
-    ``none`` needs no such step; and ``k`` edge_color records
-    describe an edge-expanded run: ``m = 2k``, the pairs ``u < v`` are
-    original vertices below ``n - k`` in increasing order, and the color of
-    record ``i`` is the final color of virtual vertex ``n - k + i``.
-    """
-    single = ("n", "m", "initial", "palette_sizes", "converged_at")
-    # each record as (line number, values): the checks after the loop name
-    # the line of the record they reject
-    records: dict[str, list] = {key: [] for key in (*single, "coloring", "class", "edge_color")}
-    for lineno, parts, _ in _content_lines(source, "#"):
-        key, tokens = parts[0], parts[1:]
-        if key in single and records[key]:
-            raise ParseError(f"duplicate {key} record", lineno)
-        if key == "converged_at":
-            if len(tokens) != 1:
-                raise ParseError("converged_at needs exactly one value", lineno)
-            values = None if tokens[0] == "none" else _int_field(tokens[0], "step", lineno)
-        else:
-            values = tuple([_int_field(tok, "value", lineno) for tok in tokens])
-            if key not in records:
-                raise ParseError(f"unrecognized record {key!r}", lineno)
-            if key in ("n", "m"):
-                if len(values) != 1:
-                    raise ParseError(f"{key} needs exactly one value", lineno)
-                if values[0] < 0:
-                    raise ParseError(f"{key} must be non-negative", lineno)
-            elif key == "edge_color" and len(values) != 3:
-                raise ParseError("edge_color needs 'u v color'", lineno)
-        records[key].append((lineno, values))
-    if not records["n"] or not records["m"]:
-        raise ParseError("missing graph summary (n/m records)")
-    if not (records["initial"] and records["palette_sizes"] and records["converged_at"]):
-        raise ParseError("missing initial, palette_sizes, or converged_at record")
-    [(_, (n,))], [(_, (m,))] = records["n"], records["m"]
-    [(_, initial)], [(_, palette_sizes)] = records["initial"], records["palette_sizes"]
-    [(_, converged_at)] = records["converged_at"]
-    colorings = records["coloring"]
-    if not colorings or colorings[0][1] != initial:
-        raise ParseError("first coloring record must repeat the initial coloring")
-    if len(palette_sizes) != len(colorings):
-        raise ParseError("palette_sizes must list one size per coloring")
-    checked: list[Coloring] = []
-    for (lineno, coloring), k in zip(colorings, palette_sizes):
-        if len(coloring) != n:
-            raise ParseError(f"coloring has {len(coloring)} entries, not n = {n}", lineno)
-        try:
-            checked.append(Coloring(coloring, k))
-        except ValueError as err:
-            raise ParseError(str(err), lineno) from None
-    final = checked[-1]
-    # either side pads with (None, None): an extra record is named by its
-    # line, a missing one by no line
-    classes = zip_longest(records["class"], partition_of(final), fillvalue=(None, None))
-    for (lineno, cls), want in classes:
-        if cls != want:
-            raise ParseError("classes are not the final coloring's partition", lineno)
-    if converged_at is not None and not 1 <= converged_at < len(colorings):
-        raise ParseError(
-            f"converged_at must lie in 1..{len(colorings) - 1}", records["converged_at"][0][0]
-        )
-    trace = RefinementTrace(tuple(checked))
-    # a run stops at its first isomorphic step, so no earlier step is one
-    early = zip(checked, checked[1:-1])
-    if converged_at != trace.converged_at or any(
-        colorings_isomorphic(a, b) is not None for a, b in early
-    ):
-        message = "converged_at disagrees with the colorings' first isomorphic step"
-        raise ParseError(message, records["converged_at"][0][0])
-    edge_colors = records["edge_color"]
-    k = len(edge_colors)
-    if k and m != 2 * k:
-        raise ParseError(f"m = {m} is not twice the {k} edge_color records", records["m"][0][0])
-    base = n - k
-    for i, (lineno, (u, v, col)) in enumerate(edge_colors):
-        if not 0 <= u < v < base:
-            raise ParseError(f"edge_color pair {u} {v} is not u < v below {base}", lineno)
-        if i and (u, v) <= edge_colors[i - 1][1][:2]:
-            raise ParseError("edge_color pairs are not in increasing order", lineno)
-        if col != final.colors[base + i]:
-            raise ParseError(f"edge_color {col} is not vertex {base + i}'s final color", lineno)
-    ends = [end for _, values in edge_colors for end in values[:2]]
-    return TraceDocument(trace, m, _from_ends(base, ends) if k else None)

@@ -103,14 +103,18 @@ class Graph(_Record):
                     yield u, v
 
 
-def _from_ends(vertex_count: int, ends) -> Graph:
-    # The graph of the edges whose 0-based ends u, v come in turn from the
-    # sequence ``ends``, every one already checked to lie in range and to be
-    # no self-loop. The degrees give each row's end; the ends, read
-    # backwards, are placed from there down, so a row holds its entries in
-    # edge order and comes out strictly increasing whenever the edges came
-    # sorted. The rows are sorted and deduplicated only when some row is not.
+def _from_ends(vertex_count: int, ends, base: int = 0) -> Graph:
+    # The graph of the edges whose ends u, v come in turn from the sequence
+    # ``ends``, counted from ``base`` (0, or 1 for DIMACS), every one already
+    # checked to lie in range and to be no self-loop. The degrees give each
+    # row's end; the ends, read backwards, are placed from there down, so a
+    # row holds its entries in edge order and comes out strictly increasing
+    # whenever the edges came sorted. The rows are sorted and deduplicated
+    # only when some row is not. Until the placing is done, degree and
+    # offsets have a slot per id 0 .. vertex_count + base - 1, so an end
+    # indexes them as it is read; the slots below base stay 0.
     degree = [0] * vertex_count
+    degree += [0] * base
     for u in ends:
         degree[u] += 1
     code = _typecode(len(ends))
@@ -120,11 +124,12 @@ def _from_ends(vertex_count: int, ends) -> Graph:
     it = reversed(ends)
     for v, u in zip(it, it):
         i = offsets[u] - 1
-        targets[i] = v
+        targets[i] = v - base
         offsets[u] = i
         i = offsets[v] - 1
-        targets[i] = u
+        targets[i] = u - base
         offsets[v] = i
+    del offsets[:base]
     offsets.append(len(ends))  # each entry is now where its row starts
     # every entry exceeds the one before it or starts a row
     starts = bytearray(len(targets) + 1)

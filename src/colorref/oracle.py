@@ -161,6 +161,10 @@ def search_refinement_counterexample(
         raise ValueError("max_n must be at least 2")
     if attempts < 0:
         raise ValueError("attempts must be non-negative")
+    if max_n == 2:
+        # a split start gives the two ends of K_2, the one graph, two colors
+        # that their portraits keep apart forever: no trial can merge them
+        return None
     rng = random.Random(seed)
     small = [g for n in range(2, min(max_n, 5) + 1) for g in _connected_graphs(n)]
     for g in islice(cycle(small), attempts):

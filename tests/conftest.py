@@ -1,7 +1,17 @@
 import io
+import re
 import tracemalloc
 
-from colorref import Coloring, emit_trace_document, new_graph, refine_to_fixpoint
+import pytest
+
+from colorref import (
+    Coloring,
+    ParseError,
+    emit_trace_document,
+    formats,
+    new_graph,
+    refine_to_fixpoint,
+)
 
 
 HUGE = 10**20  # a vertex id or count above sys.maxsize and beyond 64 bits
@@ -156,3 +166,22 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def parse_outcome(parse, *args):
+    # the value parse(*args) returns, or the message of its ParseError
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+def line_loop_outcome(parse, *args):
+    # parse_outcome with the parsers' block path off: the patterns that find
+    # a line out of the plain shapes then match every piece, so every line
+    # goes through the line loop
+    always = re.compile("")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_NOT_PAIRS", always)
+        mp.setattr(formats, "_NOT_EDGES", always)
+        return parse_outcome(parse, *args)

@@ -46,7 +46,7 @@ PUBLIC_NAMES = [
     "zero_coloring",
 ]
 
-LIBRARY_MODULES = ("coloring", "formats", "graph", "oracle", "refine")
+LIBRARY_MODULES = ("_trace", "coloring", "formats", "graph", "oracle", "refine")
 
 
 def test_all_is_sorted_and_pinned():

@@ -26,6 +26,7 @@ from colorref import (
     trace_document,
     zero_coloring,
 )
+from colorref import formats
 from colorref.cli import main
 from colorref.formats import _CHUNK
 from conftest import (
@@ -35,6 +36,8 @@ from conftest import (
     edge_colors,
     emitted,
     kept_bytes,
+    line_loop_outcome,
+    parse_outcome,
     path_graph,
     peak_bytes,
     torus_graph,
@@ -397,9 +400,10 @@ def test_emitting_class_records_holds_no_list_per_class():
     x = _expanded_torus(60)
     doc = trace_document(refine_to_fixpoint(x, zero_coloring(x)), x)
     # measured on these 10 800 vertices: about 44 bytes per vertex with
-    # partition_of's classes all held at once, about 16 with one array slot
-    # per vertex and one slice of a class at a time
-    assert peak_bytes(emit_trace_document, doc, _Discard()) < 28 * x.vertex_count
+    # partition_of's classes all held at once, about 16 with one 8-byte
+    # array slot per vertex and one slice of a class at a time, about 12
+    # with a 4-byte slot
+    assert peak_bytes(emit_trace_document, doc, _Discard()) < 14 * x.vertex_count
 
 
 def test_an_expanded_trace_document_holds_no_copy_of_its_edges():
@@ -818,3 +822,85 @@ def test_exact_messages_and_precedence(fn, args, error, message):
 )
 def test_accepted_integer_spellings(fn, text, want):
     assert fn(text) == want
+
+
+# The block path by hand, read in 16-character blocks: each case gives the
+# value or the exact error of the line loop alone, and the cases marked
+# "fast" have a block that the block path takes.
+E4 = "0 1\n0 2\n0 3\n0 4\n"  # one plain block of four edges
+D4 = "p edge 5 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n"
+C4 = "0 0\n1 0\n2 1\n3 1\n"  # one plain block of four assignments
+BLOCK_CASES = {
+    # an error on the first line of the block after a plain one
+    "edges-error-after-plain": (parse_edge_list, E4 + "1 1\n", "line 5: self-loop 1 1", True),
+    "dimacs-error-after-plain": (parse_dimacs, D4 + "e 2 6\n", "line 6: vertex id outside 1..5",
+                                 True),
+    "coloring-error-after-plain": (parse_coloring, C4 + "3 0\n",
+                                   "line 5: duplicate assignment for vertex 3", True),
+    # a bad last line in a block that is otherwise plain
+    "edges-bad-last-line": (parse_edge_list, E4 + "1 2\n1 3\n1 x\n",
+                            "line 7: vertex id 'x' is not an integer", True),
+    "dimacs-bad-last-line": (parse_dimacs, D4 + "e 2 3\ne 2 2\n", "line 7: self-loop 2 2", True),
+    "coloring-bad-last-line": (parse_coloring, C4 + "4 0\n5 0\n9 x\n",
+                               "line 7: color 'x' is not an integer", True),
+    # an id past the declared count, named at its line after the last one
+    "edges-past-the-header": (parse_edge_list, "n 5\n0 1\n0 2\n0 3\n0 4\n1 9\n",
+                              "line 6: vertex id 9 exceeds declared count 5", True),
+    "dimacs-id-zero": (parse_dimacs, D4 + "e 2 0\n", "line 6: vertex id outside 1..5", True),
+    "dimacs-run-on-line": (parse_dimacs, D4 + "e 2 3e 4 5\n",
+                           "line 6: edge line must be 'e <u> <v>'", True),
+    # a line break other than "\n" between the fields
+    "edges-form-feed": (parse_edge_list, E4 + "1\x0c2\n", "line 5: expected 'u v', got '1'", True),
+    # a last line with no newline
+    "edges-no-last-newline": (parse_edge_list, E4 + "1 2", new_graph(5, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]), True),
+    "coloring-no-last-newline": (parse_coloring, C4 + "4 2", coloring_from_labels([0, 0, 1, 1, 2]),
+                                 True),
+    # CRLF line ends
+    "edges-crlf": (parse_edge_list, E4.replace("\n", "\r\n"), new_graph(5, [
+        (0, 1), (0, 2), (0, 3), (0, 4)]), False),
+    "dimacs-crlf": (parse_dimacs, D4.replace("\n", "\r\n") + "e 5 5\r\n",
+                    "line 6: self-loop 5 5", False),
+    # a comment among the edge lines
+    "edges-comment": (parse_edge_list, E4 + "# 1 1\n1 2\n" + E4, new_graph(5, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]), True),
+    "dimacs-comment": (parse_dimacs, D4 + "c 1 1\n" + "e 1 1\n",
+                       "line 7: self-loop 1 1", True),
+    # a 19-digit id: past 64 bits, or zero-padded
+    "edges-19-digits": (parse_edge_list, E4 + "9" * 19 + " 1\n",
+                        f"line 5: vertex count must be at most {sys.maxsize}", True),
+    "dimacs-19-digits": (parse_dimacs, D4 + "e 0000000000000000006 1\n",
+                         "line 6: vertex id outside 1..5", True),
+    # leading zeros and a "+" sign
+    "edges-leading-zeros": (parse_edge_list, "007 1\n" + E4, new_graph(8, [
+        (7, 1), (0, 1), (0, 2), (0, 3), (0, 4)]), True),
+    "edges-plus": (parse_edge_list, E4 + "+3 3\n", "line 5: self-loop 3 3", True),
+    "coloring-leading-zeros": (parse_coloring, C4 + "04 1\n+5 0\n04 2\n",
+                               "line 7: duplicate assignment for vertex 4", True),
+    # a coloring out of vertex order, before and after a plain block
+    "coloring-out-of-order": (parse_coloring, "1 0\n0 1\n# 45678\n2 1\n3 1\n4 0\n5 0\n7 2\n6 1\n",
+                              coloring_from_labels([1, 0, 1, 1, 0, 0, 1, 2]), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_the_block_path_by_hand(case, monkeypatch):
+    parse, text, want, fast = BLOCK_CASES[case]
+    if isinstance(want, str):
+        want = f"ParseError: {want}"
+    assert line_loop_outcome(parse, text) == want
+    taken = []  # the pieces the parser's hook took
+    reader = formats._content_lines
+
+    def content_lines(source, comment, plain):
+        def hook(piece, first):
+            took = plain(piece, first)
+            taken.extend([piece] * took)
+            return took
+
+        return reader(source, comment, hook)
+
+    monkeypatch.setattr(formats, "_content_lines", content_lines)
+    monkeypatch.setattr(formats, "_CHUNK", 16)
+    assert parse_outcome(parse, io.StringIO(text)) == want
+    assert bool(taken) == fast

@@ -13,6 +13,8 @@ from colorref import (
     violation_witness,
     zero_coloring,
 )
+from colorref import oracle
+from colorref.cli import main
 from colorref.oracle import _connected_graphs
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -128,6 +130,26 @@ def test_search_never_needs_graphs_above_five_vertices():
 def test_search_finds_nothing_on_two_vertices():
     # the only connected 2-vertex graph never merges a split start
     assert search_refinement_counterexample(max_n=2, seed=0, attempts=50) is None
+
+
+def test_search_on_two_vertices_runs_no_trial(monkeypatch, capsys):
+    # K_2 keeps both split starts apart, so a sweep of K_2 alone is not run;
+    # one that also holds the 3-vertex graphs is
+    k2 = complete_graph(2)
+    for labels in ([0, 1], [1, 0]):
+        assert violation_witness(k2, coloring_from_labels(labels)) is None
+    assert search_refinement_counterexample(max_n=3).graph.vertex_count == 3
+
+    def no_trial(g, initial):
+        raise AssertionError("a trial was run")
+
+    monkeypatch.setattr(oracle, "violation_witness", no_trial)
+    assert search_refinement_counterexample(max_n=2) is None
+    with pytest.raises(ValueError, match="attempts must be non-negative"):
+        search_refinement_counterexample(max_n=2, attempts=-1)
+    assert main(["search", "--max-n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out == "no counterexample found (max_n=2 attempts=10000 seed=0)\n"
 
 
 def test_search_with_zero_attempts():

@@ -3,6 +3,7 @@ import io
 import os
 import tempfile
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, target
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from colorref import (
     Coloring,
     Graph,
-    ParseError,
     TraceDocument,
     coloring_from_labels,
     colorings_isomorphic,
@@ -42,6 +42,8 @@ from conftest import (
     emitted,
     index_portraits,
     is_refinement,
+    line_loop_outcome,
+    parse_outcome,
     reference_expansion,
     reference_rows,
 )
@@ -415,20 +417,13 @@ FUZZ_PARSERS = {
 }
 
 
-def _parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except ParseError as err:
-        return f"ParseError: {err}"
-
-
 @pytest.mark.parametrize("name", sorted(FUZZ_PARSERS))
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
     parse, comment, keys = FUZZ_PARSERS[name]
     text = data.draw(fuzz_texts(keys), label="text")
-    got = _parse_outcome(parse, text)
+    got = parse_outcome(parse, text)
     if isinstance(got, Graph):
         assert Graph(got.vertex_count, got.adjacency) == got
     elif isinstance(got, Coloring):
@@ -439,7 +434,7 @@ def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
         assert got.startswith("ParseError: ")
     # a "_" anywhere sends every token through the strict check, which
     # must read the text as int() did
-    assert _parse_outcome(parse, f"{text}\n{comment} _\n") == got
+    assert parse_outcome(parse, f"{text}\n{comment} _\n") == got
 
 
 @st.composite
@@ -461,7 +456,58 @@ def test_parsing_a_stream_gives_what_parsing_its_text_gives(name, data, chunk):
     text = data.draw(broken_texts(keys), label="text")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_CHUNK", chunk)
-        assert _parse_outcome(parse, io.StringIO(text)) == _parse_outcome(parse, text)
+        assert parse_outcome(parse, io.StringIO(text)) == parse_outcome(parse, text)
+
+
+# Texts for the parsers' block path: mostly lines in the parser's plain
+# shape, with ids that mostly pass its checks, among lines that leave the
+# shape one way each. A 19-digit id is zero-padded, so no text asks for a
+# large vertex count.
+ODD_FIELDS = ["0", "13", "+1", "007", "0000000000000000001", "-1", "1_0", "\u0661", "x"]
+OTHER_LINES = ["", "# x", "c x", "n 13", "p edge 13 1", "1  2", "e 1\t2", "1\x0c2", "1 2 3",
+               "e 1 2"]
+
+
+@st.composite
+def mostly_plain_texts(draw, name):
+    n = draw(st.integers(1, 12))
+    ids = st.integers(1, n) if name == "dimacs" else st.integers(0, n)
+    head = "e " if name == "dimacs" else ""
+    lines = [f"p edge {n} 0"] if name == "dimacs" else []
+    if name == "edge_list" and draw(st.booleans()):
+        lines.append(f"n {draw(st.integers(0, 13))}")  # may leave ids past it
+    for v in range(draw(st.integers(0, 24))):
+        kind = draw(st.integers(0, 11))
+        if kind < 9:  # a plain line; a coloring's ids mostly go on in order
+            u = v if name == "coloring" and kind else draw(ids)
+            lines.append(f"{head}{u} {draw(ids)}")
+        elif kind == 9:  # an odd field in a plain line
+            fields = [str(draw(ids)), draw(st.sampled_from(ODD_FIELDS))]
+            lines.append(head + " ".join(fields[:: draw(st.sampled_from([1, -1]))]))
+        else:  # a line of another kind
+            lines.append(draw(st.sampled_from(OTHER_LINES)))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 6 + ["\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-1]  # a last line without "\n"
+
+
+# Whatever mixes of blocks and pieces take the block path, each parser
+# gives the value, or the exact error and line, of its line loop alone.
+@pytest.mark.parametrize("name", ["coloring", "dimacs", "edge_list"])
+@given(data=st.data(), chunk=st.integers(1, 64), piece=st.integers(1, 32))
+@settings(max_examples=200, deadline=None)
+def test_the_block_path_gives_what_the_line_loop_gives(name, data, chunk, piece):
+    text = data.draw(mostly_plain_texts(name), label="text")
+    parse = {"dimacs": parse_dimacs, "edge_list": parse_edge_list}.get(name)
+    if parse is None:
+        count = data.draw(st.one_of(st.none(), st.integers(0, 24)), label="vertex_count")
+        parse = partial(parse_coloring, vertex_count=count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        mp.setattr(formats, "_PIECE", piece)
+        got = parse_outcome(parse, io.StringIO(text))
+    assert got == line_loop_outcome(parse, text)
 
 
 GRAPH_SUFFIXES = {".edges": "edge_list", ".col": "dimacs"}
