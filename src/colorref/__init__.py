@@ -32,12 +32,6 @@ from .graph import (
     new_graph,
     random_graph,
 )
-from .oracle import (
-    CounterexampleWitness,
-    naive_refine,
-    search_refinement_counterexample,
-    violation_witness,
-)
 from .refine import (
     RefinementTrace,
     find_inequitable_pair,
@@ -47,6 +41,23 @@ from .refine import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle's names, resolved on first use: only ``search`` and the tests
+# need them, so the other commands never compile the module.
+_ORACLE = {
+    "CounterexampleWitness",
+    "naive_refine",
+    "search_refinement_counterexample",
+    "violation_witness",
+}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Coloring",

@@ -13,7 +13,7 @@ sets the peak memory of a short run.
 
 from __future__ import annotations
 
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from typing import TextIO
 
 from ._record import _Record
@@ -58,6 +58,8 @@ def trace_document(
 
 # Values per write of a long record: bounds the text a record holds at once.
 _SLICE = 1024
+# Records per write of the edge_color records, for the same bound.
+_EDGES = 256
 
 
 def _write_record(write, key: str, values) -> None:
@@ -72,7 +74,9 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     """Serialize in the canonical field order; equal documents yield equal bytes.
 
     The records are written to the text stream ``out`` one at a time, long
-    ones in slices; no line is kept after it is written.
+    ones in slices of ``_SLICE`` values, and the ``edge_color`` records in
+    batches of ``_EDGES``, each formatted in one pass; no line is kept
+    after it is written.
     """
     write, trace = out.write, doc.trace
     final = trace.final.colors
@@ -88,8 +92,11 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
     for members in _classes(trace.final):
         _write_record(write, "class", members)
     if (g := doc.original) is not None:
-        for w, (u, v) in enumerate(g._pairs(), n - g.edge_count):
-            write(f"edge_color {u} {v} {final[w]}\n")
+        # u, v and the final color of the edge's virtual vertex, flat
+        ends = chain.from_iterable(g._pairs())
+        flat = chain.from_iterable(zip(ends, ends, islice(final, n - g.edge_count, None)))
+        while batch := tuple(islice(flat, 3 * _EDGES)):
+            write("edge_color %d %d %d\n" * (len(batch) // 3) % batch)
 
 
 def parse_trace(source: str | TextIO) -> TraceDocument:

@@ -28,7 +28,6 @@ from .formats import (
     parse_edge_list,
 )
 from .graph import expand_edges, random_graph
-from .oracle import search_refinement_counterexample
 from .refine import find_inequitable_pair, refine_to_fixpoint, zero_coloring
 
 EXIT_OK = 0
@@ -145,6 +144,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # imported here: no other command needs the oracle compiled
+    from .oracle import search_refinement_counterexample
+
     w = search_refinement_counterexample(args.max_n, args.seed, args.attempts)
     if w is None:
         print(

@@ -13,18 +13,25 @@ sorted multiset of its neighbours' colors followed by the sentinel
 exactly the colors that ascending lexicographic rank of the dense vectors
 gives; ``_portraits`` holds the proof, and the dense reference that the
 tests hold it to lives in ``tests/conftest.py``. It reads the graph's CSR
-columns (see ``Graph``) and gathers the neighbours' colors of ``_BLOCK``
-rows at a time, so beside the keys it holds one list slot per edge end of
-a block, not of the graph. So a step builds its portraits in
-O(n + m log Δ) for n vertices, m edges and maximum degree Δ, whatever the
-palette size, and then sorts the distinct ones to rank them.
+columns (see ``Graph``) and builds the keys of ``_BLOCK`` rows at a time,
+so beside the distinct keys it holds one block of keys and one list slot
+per edge end of a block, not of the graph. So a step builds its portraits
+in O(n + m log Δ) for n vertices, m edges and maximum degree Δ, whatever
+the palette size, and then sorts the distinct ones to rank them.
+
+From one color, as in the first step of every run from the all-equal
+start, a key holds nothing but the degree, and the step ranks the degrees
+read from the row offsets instead: O(n + Δ log Δ), with no key built.
+A run takes each color from one list of int objects that grows with its
+palette, so its colorings hold each color once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, islice, pairwise
+from operator import sub
 
 from ._record import _Record
 from .coloring import Coloring, _splits, colorings_isomorphic
@@ -43,13 +50,14 @@ def zero_coloring(g: Graph) -> Coloring:
     return Coloring._unchecked((0,) * n, 1 if n else 0)
 
 
-# Rows per gather of neighbour colors in _portraits: a list slot per edge
-# end of the block, not of the whole graph.
+# Rows per block of keys in _portraits: a key and a list slot per edge end
+# of the block are held, not of the whole graph.
 _BLOCK = 1024
 
 
-def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
-    """Yield the portrait key of each vertex under ``c``, in vertex order.
+def _portraits(g: Graph, c: Coloring) -> Iterator[list[tuple[int, ...]]]:
+    """Yield the portrait keys of the vertices under ``c``, in vertex order,
+    as one list per block of ``_BLOCK`` vertices.
 
     The key of a vertex is the ascending list of its neighbours' colors
     followed by the sentinel ``K = c.palette_size``, which exceeds every
@@ -64,38 +72,68 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[tuple[int, ...]]:
     order, and equal keys mean equal vectors.
 
     This is the only place a portrait is built; the dense vectors exist
-    only in the test reference in ``tests/conftest.py``. It stays lazy so
-    that ``refine_step`` holds only the distinct keys and
-    ``find_inequitable_pair`` one key per class, up to the first split.
+    only in the test reference in ``tests/conftest.py``. It stays lazy
+    across blocks, so that ``refine_step`` holds only the distinct keys
+    and one block, and ``find_inequitable_pair`` one key per class and up
+    to one block, up to the first split.
     """
     k = c.palette_size
     at = c.colors.__getitem__
     offsets, targets = g.offsets, g.targets
     for lo in range(0, g.vertex_count, _BLOCK):
-        # the neighbours' colors of a block of rows in one C-level pass,
-        # then each row's slice of them
+        # the neighbours' colors of a block of rows in one C-level pass; the
+        # keys are built in a call of their own, so this frame keeps no
+        # reference to a block or its colors once the block is yielded
         bounds = offsets[lo:lo + _BLOCK + 1]
-        base = bounds[0]
-        seen = list(map(at, targets[base:bounds[-1]]))
-        for a, b in pairwise(bounds):
-            key = seen[a - base:b - base]
-            key.sort()
-            key.append(k)
-            yield tuple(key)
+        yield _keys(list(map(at, targets[bounds[0]:bounds[-1]])), bounds, k)
+
+
+def _keys(seen: list[int], bounds: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    # the key of each row between consecutive bounds, from its slice of
+    # seen, the neighbours' colors of all these rows
+    base = bounds[0]
+    keys = []
+    for a, b in pairwise(bounds):
+        key = seen[a - base:b - base]
+        key.sort()
+        key.append(k)
+        keys.append(tuple(key))
+    return keys
+
+
+def _step(g: Graph, c: Coloring, ints: list[int]) -> Coloring:
+    # refine_step, with color r the int object ints[r]: ints grows to the
+    # new palette size, so a run that passes it on holds each color once
+    if c.palette_size == 1:
+        # From one color the key of a vertex of degree d is (0,) * d + (1,).
+        # Two keys of degrees d < e first differ at index d, where the
+        # smaller degree holds the sentinel, so its key is the larger: the
+        # colors rank the degrees ascending. The degrees are read in C.
+        offsets = g.offsets
+        labels = list(map(sub, islice(offsets, 1, None), offsets))
+        order = sorted(set(labels))  # the label of each rank
+        rank = [0] * (order[-1] + 1)
+    else:
+        # Each key is numbered on first encounter and then dropped, so a
+        # step holds one label per vertex and only the K distinct keys.
+        first: dict[tuple[int, ...], int] = {}
+        labels = []
+        for keys in _portraits(g, c):
+            labels += [first.setdefault(key, len(first)) for key in keys]
+            del keys  # freed before the next block is built
+        order = [first[key] for key in sorted(first, reverse=True)]
+        rank = [0] * len(order)
+    ints.extend(range(len(ints), len(order)))
+    for r, label in zip(ints, order):
+        rank[label] = r
+    # ranks of the distinct labels: compact by construction
+    return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(order))
 
 
 def refine_step(g: Graph, c: Coloring) -> Coloring:
     """One simultaneous recoloring: portrait keys under ``c``, ranked largest first."""
     _check_sizes(g, c)
-    # Each key is numbered on first encounter and then dropped, so a step
-    # holds one label per vertex and only the K distinct keys.
-    first: dict[tuple[int, ...], int] = {}
-    labels = [first.setdefault(key, len(first)) for key in _portraits(g, c)]
-    rank = [0] * len(first)
-    for r, key in enumerate(sorted(first, reverse=True)):
-        rank[first[key]] = r
-    # ranks of the distinct keys: compact by construction
-    return Coloring._unchecked(tuple(map(rank.__getitem__, labels)), len(rank))
+    return _step(g, c, [])
 
 
 class RefinementTrace(_Record):
@@ -148,9 +186,10 @@ def refine_to_fixpoint(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     colorings = [initial]
+    ints: list[int] = []  # the run's one int object per color
     for _ in range(max_iters):
         prev = colorings[-1]
-        nxt = refine_step(g, prev)
+        nxt = _step(g, prev, ints)
         colorings.append(nxt)
         if colorings_isomorphic(prev, nxt) is not None:
             break
@@ -167,4 +206,4 @@ def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:
     portraits are equitable yet still merge under ``refine_step``.
     """
     _check_sizes(g, c)
-    return next(_splits(zip(c.colors, _portraits(g, c))), None)
+    return next(_splits(zip(c.colors, chain.from_iterable(_portraits(g, c)))), None)

@@ -96,6 +96,37 @@ def test_cli_imports_only_the_standard_library():
     assert proc.stdout == "\n\n"
 
 
+def test_only_search_compiles_the_oracle(tmp_path):
+    # refine, verify and gen never need the oracle; the package resolves its
+    # names on first use, and the search command imports it
+    probe = (
+        "import sys, colorref.cli\n"
+        "from pathlib import Path\n"
+        "main = colorref.cli.main\n"
+        "main(['gen', '8', '0.5', '--out', 'g.edges'])\n"
+        "main(['refine', 'g.edges'])\n"
+        "main(['refine', 'g.edges', '--expand-edges'])\n"
+        "Path('g.colors').write_text(''.join(f'{v} 0\\n' for v in range(8)))\n"
+        "main(['verify', 'g.edges', 'g.colors'])\n"
+        "print('colorref.oracle' in sys.modules)\n"
+        "main(['search', '--max-n', '3', '--attempts', '5'])\n"
+        "print('colorref.oracle' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(colorref.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        cwd=tmp_path, check=True,
+    )
+    assert proc.stdout.splitlines()[-3::2] == ["False", "True"]
+    from colorref import oracle
+
+    for name in ("CounterexampleWitness", "naive_refine",
+                 "search_refinement_counterexample", "violation_witness"):
+        assert getattr(colorref, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="^module 'colorref' has no attribute 'nothing'$"):
+        colorref.nothing
+
+
 def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
     # Every other record (n, initial, palette sizes, colorings, classes and
     # the edge colors) is read from the trace and the original graph, so a

@@ -27,6 +27,7 @@ from colorref import (
     zero_coloring,
 )
 from colorref import formats
+from colorref._trace import _EDGES
 from colorref.cli import main
 from colorref.formats import _CHUNK
 from conftest import (
@@ -303,6 +304,25 @@ def test_records_longer_than_a_slice_are_written_whole():
     want += [" ".join(["class", *map(str, cls)]) for cls in classes]
     assert max(map(len, classes)) == 8996
     assert text == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("edges", [_EDGES, 2 * _EDGES + 1])
+def test_edge_color_records_across_write_batches(edges):
+    # 256 and 513 edges of a graph of mixed degrees, so the edges' colors differ
+    g = new_graph(60, random_graph(60, 0.35, 3).edges()[:edges])
+    doc = trace_document(*_expanded_run(g), expanded=True)
+    t = doc.trace
+    assert g.edge_count == edges and t.converged_at is not None
+    assert len({col for _, _, col in edge_colors(doc)}) > 1
+    # the reference formats one line per record
+    records = [("initial", t.colorings[0].colors), ("palette_sizes", t.palette_sizes)]
+    records += [("coloring", c.colors) for c in t.colorings]
+    want = [f"n {len(t.final.colors)}", f"m {doc.edge_count}"]
+    want += [" ".join([k, *map(str, v)]) for k, v in records]
+    want.append(f"converged_at {t.converged_at}")
+    want += [" ".join(["class", *map(str, cls)]) for cls in partition_of(t.final)]
+    want += [f"edge_color {u} {v} {col}" for u, v, col in edge_colors(doc)]
+    assert emitted(doc) == "\n".join(want) + "\n"
 
 
 class _Discard:

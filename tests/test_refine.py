@@ -13,12 +13,15 @@ from colorref import (
     find_inequitable_pair,
     naive_refine,
     new_graph,
+    parse_coloring,
     partition_of,
+    random_graph,
     refine_step,
     refine_to_fixpoint,
     zero_coloring,
 )
 from colorref.cli import main
+from colorref.refine import _BLOCK, _portraits
 from conftest import (
     brute_inequitable_pair,
     brute_portrait,
@@ -47,8 +50,37 @@ def test_zero_start_portraits_are_degree_vectors():
         (cycle_graph(6), [2] * 6),
         (star_graph(3), [3, 1, 1, 1]),
         (new_graph(0, []), []),
+        # vertex 0 isolated, the others of degrees 3, 2, 2 and 1
+        (new_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), [0, 3, 2, 2, 1]),
+        (new_graph(1, []), [0]),
+        (complete_graph(4), [3] * 4),
     ):
         assert refine_step(g, zero_coloring(g)) == index_portraits((d,) for d in degrees)
+        assert refine_step(g, zero_coloring(g)) == index_portraits(
+            brute_portrait(g, zero_coloring(g), v) for v in range(g.vertex_count)
+        )
+    # a regular graph is equitable from one color: the run stops at step 1
+    cube = new_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+    t = refine_to_fixpoint(cube, zero_coloring(cube))
+    assert (t.converged_at, t.palette_sizes) == (1, (1, 1))
+    # one color read from a file under another label is the same start
+    g = new_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)])
+    start = parse_coloring("".join(f"{v} 7\n" for v in range(5)), 5)
+    assert start == zero_coloring(g)
+    assert refine_step(g, start).colors == (0, 3, 2, 2, 1)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_steps_and_splits_across_block_boundaries(n):
+    g = random_graph(n, 3 / n, 5)
+    c = coloring_from_labels([v % 3 == 0 for v in range(n)])
+    assert refine_step(g, c) == index_portraits(brute_portrait(g, c, v) for v in range(n))
+    # a cycle on all but the last vertex, which is isolated: the only split
+    # is that vertex, in the last block
+    ring = new_graph(n, [(v, (v + 1) % (n - 1)) for v in range(n - 1)])
+    zero = zero_coloring(ring)
+    assert find_inequitable_pair(ring, zero) == brute_inequitable_pair(ring, zero) == (0, n - 1)
+    assert find_inequitable_pair(ring, refine_step(ring, zero)) is None
 
 
 def test_portrait_on_four_cycle():
@@ -150,6 +182,42 @@ def test_refine_step_holds_no_key_per_vertex():
     # the result's tuple alone takes 8 bytes per vertex; a key tuple per
     # vertex would add about 60 more
     assert peak_bytes(refine_step, g, zero_coloring(g)) < 32 * g.vertex_count
+
+
+def test_refine_step_from_two_colors_holds_no_key_per_vertex():
+    g = expand_edges(torus_graph(60))
+    # original and virtual vertices apart: every key is built, a block at a
+    # time. The first such step in a process leaves up to 2 000 freed keys
+    # of each length in Python's tuple free lists, a fixed amount that the
+    # steps after it reuse, so the measured step is the second.
+    c = refine_step(g, zero_coloring(g))
+    assert c.palette_size == 2
+    refine_step(g, c)
+    # measured on these 10 800 vertices: about 18 bytes per vertex; a key
+    # tuple per vertex would add about 70
+    assert peak_bytes(refine_step, g, c) < 32 * g.vertex_count
+
+
+def test_refine_step_holds_one_block_of_keys_at_a_time():
+    # every vertex sees 14 neighbours of its own parity and 16 of the other,
+    # so there are 2 distinct keys of 31 entries, too long for Python's
+    # tuple free lists; one block of keys with its colors takes about 540 KB
+    n = 4 * _BLOCK
+    g = new_graph(n, [(v, (v + d) % n) for v in range(n) for d in range(1, 16)])
+    c = coloring_from_labels([v % 2 for v in range(n)])
+    block = peak_bytes(lambda: next(_portraits(g, c)))
+    # measured: about 6 bytes per vertex above one block, and about 80 with
+    # a second block alive while the next is built
+    assert peak_bytes(refine_step, g, c) < block + 32 * n
+    assert peak_bytes(find_inequitable_pair, g, c) < block + 32 * n
+
+
+def test_a_run_holds_each_color_once():
+    # Python caches no int above 256; P_700 passes 256 colors at step 256
+    g = path_graph(700)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    assert max(t.palette_sizes) == 350
+    assert len({id(x) for c in t.colorings for x in c.colors}) <= max(t.palette_sizes)
 
 
 def test_fixpoint_complete_graph():
