@@ -13,8 +13,8 @@ sets the peak memory of a short run.
 
 from __future__ import annotations
 
+import io
 from itertools import chain, islice, zip_longest
-from typing import TextIO
 
 from ._record import _Record
 from .coloring import Coloring, _classes, colorings_isomorphic, partition_of
@@ -70,7 +70,7 @@ def _write_record(write, key: str, values) -> None:
     write("\n")
 
 
-def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
+def emit_trace_document(doc: TraceDocument, out: io.TextIOBase) -> None:
     """Serialize in the canonical field order; equal documents yield equal bytes.
 
     The records are written to the text stream ``out`` one at a time, long
@@ -99,7 +99,7 @@ def emit_trace_document(doc: TraceDocument, out: TextIO) -> None:
             write("edge_color %d %d %d\n" * (len(batch) // 3) % batch)
 
 
-def parse_trace(source: str | TextIO) -> TraceDocument:
+def parse_trace(source: str | io.TextIOBase) -> TraceDocument:
     """Parse trace-document text, or a text stream, back into an equal TraceDocument.
 
     Besides the syntax, the records must agree: ``n``, ``m``, ``initial``,

@@ -8,6 +8,7 @@ refinement hit its iteration cap without stabilising.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import stat
 import sys
@@ -15,7 +16,6 @@ import tempfile
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import TextIO
 
 from ._trace import emit_trace_document, trace_document
 from .coloring import colorings_isomorphic
@@ -38,7 +38,7 @@ EXIT_NOT_CONVERGED = 3
 DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 
 
-def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
+def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
     # ``write`` fills a sibling temp file, which is then renamed, so a
     # failure mid-write never leaves a partial file at the destination.
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -102,7 +102,7 @@ def _cmd_refine(args) -> int:
     )
     trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
 
-    def write_trace(fh: TextIO) -> None:
+    def write_trace(fh: io.TextIOBase) -> None:
         fh.write(echo)
         emit_trace_document(doc, fh)
 
@@ -185,7 +185,7 @@ def _cmd_search(args) -> int:
 def _cmd_gen(args) -> int:
     g = random_graph(args.n, args.p, args.seed)
 
-    def write(fh: TextIO) -> None:
+    def write(fh: io.TextIOBase) -> None:
         fh.write(f"# colorref gen n={args.n} p={args.p} seed={args.seed}\n")
         emit_edge_list(g, fh)
 

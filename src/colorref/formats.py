@@ -37,12 +37,12 @@ to ``out``, and produce byte-identical output for equal inputs.
 from __future__ import annotations
 
 import colorsys
+import io
 import re
 import sys
 from array import array
 from functools import partial
 from operator import eq
-from typing import TextIO
 
 from .coloring import Coloring, coloring_from_labels
 from .graph import Graph, _from_ends, _typecode
@@ -63,7 +63,7 @@ class ParseError(ValueError):
 _CHUNK = 1 << 14
 
 
-def _blocks(source: str | TextIO):
+def _blocks(source: str | io.TextIOBase):
     # Blocks of ``source``, a str or a text stream, read _CHUNK characters
     # at a time (a str gives its slices) and cut just after the last "\n"
     # of each read, so each block but the last ends with one. A "\n" is a
@@ -101,7 +101,7 @@ _NOT_PAIRS = re.compile(r"\n(?!\Z)(?![0-9]{1,18} [0-9]{1,18}\n)")
 _NOT_EDGES = re.compile(r"\n(?!\Z)(?!e [0-9]{1,18} [0-9]{1,18}\n)")
 
 
-def _content_lines(source: str | TextIO, comment: str, plain=None):
+def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
     """Yield ``(line number, fields, to_int)`` of each line that is neither
     blank nor a comment.
 
@@ -157,7 +157,7 @@ def _int_field(token: str, what: str, lineno: int) -> int:
 _TOO_MANY = f"vertex count must be at most {sys.maxsize}"
 
 
-def parse_edge_list(source: str | TextIO) -> Graph:
+def parse_edge_list(source: str | io.TextIOBase) -> Graph:
     """Parse the edge-list format described in the module docstring."""
     declared: int | None = None
     ends = array("q")  # u, v of each edge in turn, 8 bytes each
@@ -224,7 +224,7 @@ def parse_edge_list(source: str | TextIO) -> Graph:
     return _from_ends(n, ends)
 
 
-def parse_dimacs(source: str | TextIO) -> Graph:
+def parse_dimacs(source: str | io.TextIOBase) -> Graph:
     """Parse the DIMACS edge format; ids are shifted to 0-based."""
     n: int | None = None
 
@@ -277,7 +277,7 @@ def parse_dimacs(source: str | TextIO) -> Graph:
     return _from_ends(n, ends, 1)
 
 
-def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Coloring:
+def parse_coloring(source: str | io.TextIOBase, vertex_count: int | None = None) -> Coloring:
     """Parse ``v c`` assignment lines into a compacted coloring.
 
     When ``vertex_count`` is None it is inferred as the number of
@@ -338,14 +338,14 @@ def parse_coloring(source: str | TextIO, vertex_count: int | None = None) -> Col
     return coloring_from_labels(labels)
 
 
-def emit_edge_list(g: Graph, out: TextIO) -> None:
+def emit_edge_list(g: Graph, out: io.TextIOBase) -> None:
     """Write the edge list into ``out``, with a header that keeps isolated vertices."""
     out.write(f"n {g.vertex_count}\n")
     for u, v in g._pairs():
         out.write(f"{u} {v}\n")
 
 
-def emit_coloring(c: Coloring, out: TextIO) -> None:
+def emit_coloring(c: Coloring, out: io.TextIOBase) -> None:
     """Write one ``v c`` line per vertex, in vertex order, into ``out``."""
     for v, col in enumerate(c.colors):
         out.write(f"{v} {col}\n")
@@ -359,7 +359,7 @@ def _wheel_color(color: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def emit_dot(g: Graph, c: Coloring, out: TextIO) -> None:
+def emit_dot(g: Graph, c: Coloring, out: io.TextIOBase) -> None:
     """Write undirected DOT, vertices labeled ``id:color`` and filled by color, into ``out``."""
     _check_sizes(g, c)
     out.write("graph coloring {\n  node [shape=circle style=filled];\n")

@@ -24,14 +24,32 @@ start, a key holds nothing but the degree, and the step ranks the degrees
 read from the row offsets instead: O(n + Δ log Δ), with no key built.
 A run takes each color from one list of int objects that grows with its
 palette, so its colorings hold each color once.
+
+A run (``refine_to_fixpoint``) takes two kinds of step, with equal colors.
+A block step is the step above. In a long run few vertices change class
+per step, and there it re-keys instead: each class keeps an id from step
+to step, and a vertex's key is the sorted tuple of its neighbours' ids.
+Ids name the classes one to one, as colors do, so equal id keys mean equal
+color keys, and the next classes are the same. A vertex's key can change
+only if a neighbour's id did, so only the neighbours of the vertices whose
+id changed are re-keyed; a dict from each live key to its class does the
+rest. Each class's color key is its id key read through the current
+colors, and ranking those K keys largest first gives the block step's
+colors, since the block step ranks the same K distinct keys. A re-keying
+step costs O(Σ d log d over the re-keyed vertices + K log K + n). The run
+hands over to it after a block step that moved few vertices, deriving the
+ids from the two colorings it holds, and goes back to block steps when too
+many vertices move; ``_rekeys`` makes both choices, which change only the
+cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain, islice, pairwise
-from operator import sub
+from itertools import chain, compress, count, islice, pairwise
+from operator import ne, sub
 
 from ._record import _Record
 from .coloring import Coloring, _splits, colorings_isomorphic
@@ -186,14 +204,95 @@ def refine_to_fixpoint(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     colorings = [initial]
-    ints: list[int] = []  # the run's one int object per color
-    for _ in range(max_iters):
+    for nxt in islice(_run(g, initial), max_iters):
         prev = colorings[-1]
-        nxt = _step(g, prev, ints)
         colorings.append(nxt)
         if colorings_isomorphic(prev, nxt) is not None:
             break
     return RefinementTrace(tuple(colorings))
+
+
+def _rekeys(moved: float, k: int, n: int) -> bool:
+    # whether a step that re-keys the neighbours of about ``moved`` vertices
+    # and ranks one key for each of k classes beats a block step over n
+    return 4 * moved + k < n
+
+
+def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
+    # The colorings after c, one per step, each _step's of the one before,
+    # with color r the int object ints[r] of one list for the whole run.
+    n = g.vertex_count
+    offsets, targets = g.offsets, g.targets
+    ints: list[int] = []
+    while True:
+        prev, c = c, _step(g, c, ints)
+        yield c
+        k = c.palette_size
+        # a refining step moves about |K - K_prev| * n / K vertices
+        if not _rekeys(abs(k - prev.palette_size) * n / (k or 1), k, n):
+            continue
+        # Hand-over: the previous colors serve as the ids of the previous
+        # classes. A class of c takes the previous color of its first
+        # member, the largest of the classes that share one keeps it, and
+        # the others take fresh ids from n up. Its key is read over the
+        # previous colors at its first member.
+        p, cur = prev.colors, c.colors
+        first = dict(zip(reversed(cur), range(n - 1, -1, -1)))  # color -> first member
+        size = Counter(cur)
+        fresh = count(n)
+        id_of: dict[int, int] = {}  # color of c -> id
+        taken: set[int] = set()
+        for x in sorted(first, key=size.__getitem__, reverse=True):
+            i = p[first[x]]
+            id_of[x] = next(fresh) if i in taken else i
+            taken.add(i)
+        ids = list(map(id_of.__getitem__, cur))
+        moved = list(compress(range(n), map(ne, ids, p)))  # id is not the previous color
+        at = p.__getitem__
+        key_of = {id_of[x]: tuple(sorted(map(at, targets[offsets[v]:offsets[v + 1]])))
+                  for x, v in first.items()}
+        class_of = {key: i for i, key in key_of.items()}
+        size = {id_of[x]: s for x, s in size.items()}
+        color_of = {i: x for x, i in id_of.items()}  # id -> color of c
+        while _rekeys(len(moved), k, n):
+            # Only a neighbour of a vertex whose id changed can change key.
+            at = ids.__getitem__
+            movers = []
+            for v in set(chain.from_iterable(targets[offsets[u]:offsets[u + 1]] for u in moved)):
+                key = tuple(sorted(map(at, targets[offsets[v]:offsets[v + 1]])))
+                if key != key_of[ids[v]]:
+                    movers.append((v, key))
+                    size[ids[v]] -= 1
+            for i in {ids[v] for v, _ in movers}:
+                if not size[i]:  # the class emptied
+                    del class_of[key_of.pop(i)], size[i]
+            # A vertex joins the class of its new key. A new key's class
+            # takes the mover's old id if that class emptied, else a fresh one.
+            moved = []
+            for v, key in movers:
+                old = ids[v]
+                i = class_of.get(key)
+                if i is None:
+                    i = next(fresh) if old in size else old
+                    class_of[key], key_of[i], size[i] = i, key, 0
+                size[i] += 1
+                if i != old:
+                    ids[v] = i
+                    moved.append(v)
+            # Each class's engine key is its key read through the colors of
+            # c, with the sentinel K; ranked largest first as in _step.
+            at = color_of.__getitem__
+            ranked = []
+            for i, key in key_of.items():
+                ck = sorted(map(at, key))
+                ck += k, i  # no comparison reaches the id: keys differ by then
+                ranked.append(ck)
+            ranked.sort(reverse=True)
+            k = len(ranked)
+            ints.extend(range(len(ints), k))
+            color_of = dict(zip([ck[-1] for ck in ranked], ints))
+            c = Coloring._unchecked(tuple(map(color_of.__getitem__, ids)), k)
+            yield c
 
 
 def find_inequitable_pair(g: Graph, c: Coloring) -> tuple[int, int] | None:

@@ -7,9 +7,12 @@ import pytest
 from colorref import (
     Coloring,
     ParseError,
+    coloring_from_labels,
+    colorings_isomorphic,
     emit_trace_document,
     formats,
     new_graph,
+    refine_step,
     refine_to_fixpoint,
 )
 
@@ -40,6 +43,29 @@ def torus_graph(a):
 
 def star_graph(leaves):
     return new_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+# A 6-vertex graph whose start below cycles between 5 and 4 classes forever
+GADGET_EDGES = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5)]
+GADGET_START = [2, 0, 2, 1, 2, 2]
+
+
+def gadget_and_path(length):
+    # the gadget beside a path on vertices 6 .. 5 + length in color 3: the
+    # path refines one pair of classes per step while the gadget cycles
+    edges = GADGET_EDGES + [(v, v + 1) for v in range(6, 5 + length)]
+    return new_graph(6 + length, edges), coloring_from_labels(GADGET_START + [3] * length)
+
+
+def stepped_run(g, start, max_iters=None):
+    # reference for refine_to_fixpoint's colorings: refine_step applied in
+    # turn, each step from scratch, under the same stop rule and cap
+    colorings = [start]
+    for _ in range(g.vertex_count + 2 if max_iters is None else max_iters):
+        colorings.append(refine_step(g, colorings[-1]))
+        if colorings_isomorphic(*colorings[-2:]) is not None:
+            break
+    return tuple(colorings)
 
 
 def brute_portrait(g, c, v):

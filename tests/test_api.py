@@ -127,6 +127,30 @@ def test_only_search_compiles_the_oracle(tmp_path):
         colorref.nothing
 
 
+def test_no_command_loads_typing(tmp_path):
+    # the stream annotations name io.TextIOBase, and io is loaded by every
+    # interpreter; without site hooks (-S) nothing else loads typing, which
+    # costs about 10 ms of start-up
+    probe = (
+        "import sys, colorref.cli\n"
+        "from pathlib import Path\n"
+        "main = colorref.cli.main\n"
+        "main(['gen', '8', '0.5', '--out', 'g.edges'])\n"
+        "main(['refine', 'g.edges', '--expand-edges', '--dot', 'g.dot'])\n"
+        "Path('g.colors').write_text(''.join(f'{v} 0\\n' for v in range(8)))\n"
+        "main(['verify', 'g.edges', 'g.colors'])\n"
+        "main(['compare', 'g.colors', 'g.colors'])\n"
+        "main(['search', '--max-n', '3', '--attempts', '5'])\n"
+        "print('typing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(colorref.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
+        cwd=tmp_path, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_trace_document_holds_only_the_trace_and_what_it_cannot_derive():
     # Every other record (n, initial, palette sizes, colorings, classes and
     # the edge colors) is read from the trace and the original graph, so a

@@ -32,10 +32,12 @@ from colorref import (
     violation_witness,
     zero_coloring,
 )
-from colorref import formats
+from colorref import formats, refine
 from colorref.cli import main
 from colorref.graph import _typecode
 from conftest import (
+    GADGET_EDGES,
+    GADGET_START,
     brute_inequitable_pair,
     brute_portrait,
     brute_violation,
@@ -46,6 +48,7 @@ from conftest import (
     parse_outcome,
     reference_expansion,
     reference_rows,
+    stepped_run,
 )
 
 
@@ -210,6 +213,58 @@ def test_every_step_of_a_run_matches_the_dense_reference(gc):
     for prev, nxt in zip(trace.colorings, trace.colorings[1:]):
         dense = [brute_portrait(g, prev, v) for v in range(g.vertex_count)]
         assert nxt == index_portraits(dense)
+
+
+@st.composite
+def sparse_runs(draw):
+    # a path, cycle, tree or the cycling gadget beside a path, with a few
+    # chords, relabelled; the all-equal start, the gadget's start or any
+    # other; a cap from 1 to n + 2
+    shape = draw(st.sampled_from(["path", "cycle", "tree", "gadget"]))
+    n = draw(st.integers(6 if shape == "gadget" else 0, 40))
+    if shape == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    elif shape == "gadget":
+        edges = GADGET_EDGES + [(v, v + 1) for v in range(6, n - 1)]
+    else:
+        edges = [(v, v + 1) for v in range(n - 1)]
+        if shape == "cycle" and n > 2:
+            edges.append((0, n - 1))
+    if n > 1:
+        ends = st.integers(0, n - 1)
+        edges += draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=3))
+    start = draw(st.one_of(
+        st.just([0] * n),
+        st.just(GADGET_START + [3] * (n - 6)) if shape == "gadget" else st.nothing(),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    ))
+    perm = draw(st.permutations(range(n)))
+    labels = [0] * n
+    for v, x in enumerate(start):
+        labels[perm[v]] = x
+    g = new_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return g, coloring_from_labels(labels), draw(st.integers(1, n + 2))
+
+
+@given(sparse_runs())
+@settings(deadline=None)
+def test_a_run_is_refine_step_iterated(run):
+    g, start, cap = run
+    trace = refine_to_fixpoint(g, start, cap)
+    target(len(trace.colorings), label="colorings in the run")
+    assert trace.colorings == stepped_run(g, start, cap)
+
+
+@given(sparse_runs(), st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_a_run_is_refine_step_iterated_whichever_steps_it_takes(run, rnd):
+    # re-keying steps and block steps chosen at random, so that the run
+    # hands over both ways at any step
+    g, start, cap = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "_rekeys", lambda moved, k, n: rnd.random() < .7)
+        trace = refine_to_fixpoint(g, start, cap)
+    assert trace.colorings == stepped_run(g, start, cap)
 
 
 @given(graphs_with_colorings())

@@ -1,3 +1,4 @@
+import random
 from array import array
 from collections import Counter
 
@@ -20,6 +21,7 @@ from colorref import (
     refine_to_fixpoint,
     zero_coloring,
 )
+from colorref import refine
 from colorref.cli import main
 from colorref.refine import _BLOCK, _portraits
 from conftest import (
@@ -27,11 +29,13 @@ from conftest import (
     brute_portrait,
     complete_graph,
     cycle_graph,
+    gadget_and_path,
     index_portraits,
     is_refinement,
     path_graph,
     peak_bytes,
     star_graph,
+    stepped_run,
     torus_graph,
 )
 
@@ -218,6 +222,55 @@ def test_a_run_holds_each_color_once():
     t = refine_to_fixpoint(g, zero_coloring(g))
     assert max(t.palette_sizes) == 350
     assert len({id(x) for c in t.colorings for x in c.colors}) <= max(t.palette_sizes)
+
+
+def block_steps(monkeypatch):
+    # a list that gains an entry for each block step (_step call) from here on
+    calls = []
+    step = refine._step
+    monkeypatch.setattr(refine, "_step", lambda *args: calls.append(None) or step(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_a_long_path_run_rekeys_nearly_every_step(monkeypatch, seed):
+    # each step moves 2 of the 400 vertices to a new class, so after the
+    # first steps only their neighbours are re-keyed; in vertex order too
+    perm = list(range(400))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    g = new_graph(400, [(perm[v], perm[v + 1]) for v in range(399)])
+    blocks = block_steps(monkeypatch)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    assert t.converged_at == 200 and 1 <= len(blocks) <= 5
+    assert t.colorings == stepped_run(g, zero_coloring(g))
+
+
+@pytest.mark.parametrize("name", ["expanded torus", "random graph"])
+def test_runs_that_move_many_vertices_take_block_steps_only(monkeypatch, name):
+    g = expand_edges(torus_graph(12)) if name == "expanded torus" else random_graph(300, .02, 0)
+    blocks = block_steps(monkeypatch)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    assert len(blocks) == len(t.colorings) - 1 >= 2
+
+
+def test_a_cycling_run_rekeys_to_its_cap(monkeypatch):
+    # the gadget's classes swap at every step and the path refines beside
+    # it, so the run reaches its cap of n + 2 = 308 steps
+    g, start = gadget_and_path(300)
+    blocks = block_steps(monkeypatch)
+    t = refine_to_fixpoint(g, start)
+    assert t.converged_at is None and len(t.colorings) == 309
+    assert len(blocks) <= 5
+    assert t.colorings == stepped_run(g, start)
+
+
+def test_a_run_checks_its_arguments():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^coloring and graph have different vertex counts$"):
+        refine_to_fixpoint(g, coloring_from_labels([0, 0]))
+    with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
+        refine_to_fixpoint(g, zero_coloring(g), max_iters=0)
 
 
 def test_fixpoint_complete_graph():
