@@ -5,7 +5,9 @@ the vector counting its neighbours of each current color. From the
 all-equal start iterating the step only refines, and it stabilises within
 ``vertex_count`` steps at an equitable partition (any two same-colored
 vertices see identical color counts around them). From other starts a
-step can merge classes, and the partition can cycle without ever settling.
+step can merge classes, and the partition can cycle without ever settling,
+but every run ends in period 1 or 2: the README section "Every run ends in
+period 1 or 2" proves it with an energy that never falls.
 
 The engine never builds the dense count vector. It keys each vertex by the
 sorted multiset of its neighbours' colors followed by the sentinel
@@ -34,19 +36,23 @@ color keys, and the next classes are the same. A vertex's key can change
 only if a neighbour's id did, so only the neighbours of the vertices whose
 id changed are re-keyed; a dict from each live key to its class does the
 rest. Each class's color key is its id key read through the current
-colors, and ranking those K keys largest first gives the block step's
-colors, since the block step ranks the same K distinct keys. A re-keying
-step costs O(Σ d log d over the re-keyed vertices + K log K + n). The run
-hands over to it after a block step that moved few vertices, deriving the
-ids from the two colorings it holds, and goes back to block steps when too
+colors, and those K keys, largest first, give the block step's colors,
+since the block step ranks the same K distinct keys. That rank order is
+kept from step to step: two classes can change order only if one has a
+new id key or names a class that moved in it, so only these D dirty
+classes are put back, by binary search. A re-keying step costs
+O(Σ d log d over the re-keyed vertices + D log K + K + n). The run hands
+over to it after a block step that moved few vertices, deriving the ids
+from the two colorings it holds, and goes back to block steps when too
 many vertices move; ``_rekeys`` makes both choices, which change only the
 cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, count, islice, pairwise
 from operator import ne, sub
@@ -160,7 +166,8 @@ class RefinementTrace(_Record):
     ``colorings[t]`` is the coloring after ``t`` steps; index 0, the start,
     is in every trace. ``converged_at`` is the last step if its coloring is
     isomorphic to the one before, where a run stops, else None (the cap was
-    hit). It and ``palette_sizes`` are derived from ``colorings``, not stored.
+    hit). It and ``palette_sizes`` are derived from ``colorings``, not stored;
+    ``refine_to_fixpoint`` hands over the ``converged_at`` it already knows.
     """
 
     _fields = ("colorings",)
@@ -203,19 +210,48 @@ def refine_to_fixpoint(
         max_iters = g.vertex_count + 2
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    colorings = [initial]
-    for nxt in islice(_run(g, initial), max_iters):
-        prev = colorings[-1]
+    colorings, stopped = [initial], None
+    for t, nxt in enumerate(islice(_run(g, initial), max_iters), 1):
         colorings.append(nxt)
-        if colorings_isomorphic(prev, nxt) is not None:
+        if colorings_isomorphic(colorings[-2], nxt) is not None:
+            stopped = t
             break
-    return RefinementTrace(tuple(colorings))
+    trace = RefinementTrace(tuple(colorings))
+    vars(trace)["converged_at"] = stopped  # the cached property, known here
+    return trace
 
 
 def _rekeys(moved: float, k: int, n: int) -> bool:
     # whether a step that re-keys the neighbours of about ``moved`` vertices
-    # and ranks one key for each of k classes beats a block step over n
+    # and re-places their classes beats a block step over n vertices
     return 4 * moved + k < n
+
+
+def _gap(ranked: list[int], key: list[int], key_at: Callable[[int], list[int]]) -> int:
+    # how many classes of ranked, largest color key first, have a key above key
+    return bisect_left(ranked, True, key=lambda i: key_at(i) <= key)
+
+
+def _off_run(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    # The (old place, size, new place) runs of classes, given in new order,
+    # off one heaviest chain of runs whose old places increase: the fewest
+    # classes to take out so that the rest keep their old order. The best
+    # chains so far end at increasing places with increasing weights; ends
+    # holds the index of their last runs, back the run before each, or -1.
+    places, weights, ends, back = [], [], [], []
+    for j, (x, w, _) in enumerate(runs):
+        r = bisect_left(places, x)
+        back.append(ends[r - 1] if r else -1)
+        w += weights[r - 1] if r else 0
+        e = r  # the chains from r to e end later and weigh no more
+        while e < len(weights) and weights[e] <= w:
+            e += 1
+        places[r:e], weights[r:e], ends[r:e] = [x], [w], [j]
+    best, j = set(), ends[-1] if ends else -1
+    while j >= 0:
+        best.add(j)
+        j = back[j]
+    return [run for j, run in enumerate(runs) if j not in best]
 
 
 def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
@@ -224,6 +260,13 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
     n = g.vertex_count
     offsets, targets = g.offsets, g.targets
     ints: list[int] = []
+
+    def color_key(i: int) -> list[int]:
+        # the engine key of class i: its id key read through the colors of c
+        key = sorted(map(color_of.__getitem__, key_of[i]))
+        key.append(k)
+        return key
+
     while True:
         prev, c = c, _step(g, c, ints)
         yield c
@@ -253,7 +296,15 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
                   for x, v in first.items()}
         class_of = {key: i for i, key in key_of.items()}
         size = {id_of[x]: s for x, s in size.items()}
-        color_of = {i: x for x, i in id_of.items()}  # id -> color of c
+        users: dict[int, set[int]] = {}  # id -> the classes whose key names it
+        for i, key in key_of.items():
+            for j in key:
+                users.setdefault(j, set()).add(i)
+        # The rank order, order[x] the id of color x; at first every id
+        # counts as moved, so the first step places every class.
+        order = list(map(id_of.__getitem__, range(k)))
+        color_of = dict(zip(order, ints))  # id -> color of c
+        shifted = set(order)
         while _rekeys(len(moved), k, n):
             # Only a neighbour of a vertex whose id changed can change key.
             at = ids.__getitem__
@@ -263,34 +314,63 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
                 if key != key_of[ids[v]]:
                     movers.append((v, key))
                     size[ids[v]] -= 1
-            for i in {ids[v] for v, _ in movers}:
-                if not size[i]:  # the class emptied
-                    del class_of[key_of.pop(i)], size[i]
+            emptied = {ids[v] for v, _ in movers if not size[ids[v]]}
+            for i in emptied:
+                key = key_of.pop(i)
+                del class_of[key], size[i]
+                for j in set(key):
+                    users[j].discard(i)
+                    if not users[j]:
+                        del users[j]
             # A vertex joins the class of its new key. A new key's class
             # takes the mover's old id if that class emptied, else a fresh one.
-            moved = []
+            moved, dirty = [], set()
             for v, key in movers:
                 old = ids[v]
                 i = class_of.get(key)
                 if i is None:
                     i = next(fresh) if old in size else old
                     class_of[key], key_of[i], size[i] = i, key, 0
+                    dirty.add(i)
+                    for j in key:
+                        users.setdefault(j, set()).add(i)
                 size[i] += 1
                 if i != old:
                     ids[v] = i
                     moved.append(v)
-            # Each class's engine key is its key read through the colors of
-            # c, with the sentinel K; ranked largest first as in _step.
-            at = color_of.__getitem__
-            ranked = []
-            for i, key in key_of.items():
-                ck = sorted(map(at, key))
-                ck += k, i  # no comparison reaches the id: keys differ by then
-                ranked.append(ck)
-            ranked.sort(reverse=True)
-            k = len(ranked)
+            # The clean classes keep their order; each dirty one is placed
+            # among them by binary search on its engine key.
+            for j in shifted:
+                dirty.update(users.get(j, ()))
+            out = sorted(color_of[i] for i in dirty | emptied if i in color_of)
+            clean = list(chain.from_iterable(
+                order[a + 1:b] for a, b in pairwise([-1, *out, len(order)])))
+            placed = sorted(dirty, key=color_key, reverse=True)
+            gaps = [_gap(clean, color_key(i), color_key) for i in placed]
+            # The new order in runs that keep their old order: each placed
+            # class, and each stretch of clean ones that no placed class
+            # enters or leaves in either order. The ids of the runs off one
+            # heaviest chain in old order moved; no clean key names a new id.
+            cuts = {*gaps, len(clean)}
+            cuts.update(x - bisect_left(out, x) for x in map(color_of.get, placed) if x is not None)
+            order, runs, shifted, a, j = [], [], set(), 0, 0
+            for b in sorted(cuts):
+                if a < b:
+                    runs.append((color_of[clean[a]], b - a, len(order)))
+                    order += clean[a:b]
+                    a = b
+                while j < len(placed) and gaps[j] == b:
+                    i = placed[j]
+                    if i in color_of:
+                        runs.append((color_of[i], 1, len(order)))
+                    order.append(i)
+                    j += 1
+            for _, w, x in _off_run(runs):
+                shifted.update(order[x:x + w])
+            k = len(order)
             ints.extend(range(len(ints), k))
-            color_of = dict(zip([ck[-1] for ck in ranked], ints))
+            del color_of  # freed first: with two maps alive, the heap fragments
+            color_of = dict(zip(order, ints))
             c = Coloring._unchecked(tuple(map(color_of.__getitem__, ids)), k)
             yield c
 

@@ -1,6 +1,9 @@
 import io
 import re
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -66,6 +69,27 @@ def stepped_run(g, start, max_iters=None):
         if colorings_isomorphic(*colorings[-2:]) is not None:
             break
     return tuple(colorings)
+
+
+def energy(g, c):
+    # E = sum over the classes C of c of |A 1_C|^2 / |C|, exactly, where
+    # (A 1_C)[u] counts the neighbours of u in C: the energy that never falls
+    # along a run (README, "Every run ends in period 1 or 2")
+    size = Counter(c.colors)
+    squares = Counter()  # class C -> |A 1_C|^2
+    for row in g.adjacency:
+        for x, k in Counter(map(c.colors.__getitem__, row)).items():
+            squares[x] += k * k
+    den = lcm(*size.values())
+    return Fraction(sum(squares[x] * (den // s) for x, s in size.items()), den)
+
+
+def energy_holds(g, colorings):
+    # whether E never falls along the colorings and, from its first flat
+    # step on, stays flat
+    es = [energy(g, c) for c in colorings]
+    flat = next((t for t in range(len(es) - 1) if es[t] == es[t + 1]), len(es) - 1)
+    return all(a <= b for a, b in zip(es, es[1:])) and len(set(es[flat:])) == 1
 
 
 def brute_portrait(g, c, v):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from colorref import (
     Coloring,
     Graph,
+    RefinementTrace,
     TraceDocument,
     coloring_from_labels,
     colorings_isomorphic,
@@ -42,6 +43,7 @@ from conftest import (
     brute_portrait,
     brute_violation,
     emitted,
+    energy_holds,
     index_portraits,
     is_refinement,
     line_loop_outcome,
@@ -217,15 +219,22 @@ def test_every_step_of_a_run_matches_the_dense_reference(gc):
 
 @st.composite
 def sparse_runs(draw):
-    # a path, cycle, tree or the cycling gadget beside a path, with a few
-    # chords, relabelled; the all-equal start, the gadget's start or any
-    # other; a cap from 1 to n + 2
-    shape = draw(st.sampled_from(["path", "cycle", "tree", "gadget"]))
-    n = draw(st.integers(6 if shape == "gadget" else 0, 40))
+    # a path, cycle, tree, the cycling gadget beside a path, or the gadget
+    # beside a tree and isolated vertices, with a few chords, relabelled;
+    # the all-equal start, the gadget's start or any other; a cap from 1 to
+    # n + 2. In the union one component's classes can swap at every step
+    # while another refines.
+    shape = draw(st.sampled_from(["path", "cycle", "tree", "gadget", "union"]))
+    gadget = shape in ("gadget", "union")
+    n = draw(st.integers(6 if gadget else 0, 40))
     if shape == "tree":
         edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     elif shape == "gadget":
         edges = GADGET_EDGES + [(v, v + 1) for v in range(6, n - 1)]
+    elif shape == "union":
+        # the tree on vertices 6 .. t - 1; those from t on are isolated
+        t = draw(st.integers(6, n))
+        edges = GADGET_EDGES + [(draw(st.integers(6, v - 1)), v) for v in range(7, t)]
     else:
         edges = [(v, v + 1) for v in range(n - 1)]
         if shape == "cycle" and n > 2:
@@ -235,7 +244,7 @@ def sparse_runs(draw):
         edges += draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=3))
     start = draw(st.one_of(
         st.just([0] * n),
-        st.just(GADGET_START + [3] * (n - 6)) if shape == "gadget" else st.nothing(),
+        st.just(GADGET_START + [3] * (n - 6)) if gadget else st.nothing(),
         st.lists(st.integers(0, 3), min_size=n, max_size=n),
     ))
     perm = draw(st.permutations(range(n)))
@@ -253,6 +262,7 @@ def test_a_run_is_refine_step_iterated(run):
     trace = refine_to_fixpoint(g, start, cap)
     target(len(trace.colorings), label="colorings in the run")
     assert trace.colorings == stepped_run(g, start, cap)
+    assert trace.converged_at == RefinementTrace(trace.colorings).converged_at
 
 
 @given(sparse_runs(), st.randoms(use_true_random=False))
@@ -406,7 +416,8 @@ def test_one_step_convergence_agrees_with_step_isomorphism(gc):
 
 
 # The two-step lemma on random graphs and starts past the exhaustive n <= 5
-# range: P_{t+2} refines P_t for every t >= 2, through step n + 4.
+# range: P_{t+2} refines P_t for every t >= 2, through step n + 4. The
+# energy E never falls, and stays flat from its first flat step on.
 @given(graphs_with_colorings(max_n=12))
 @settings(deadline=None)
 def test_two_steps_refine_the_partition_from_step_two_on(gc):
@@ -416,6 +427,7 @@ def test_two_steps_refine_the_partition_from_step_two_on(gc):
         colorings.append(refine_step(g, colorings[-1]))
     for t in range(2, len(colorings) - 2):
         assert is_refinement(colorings[t], colorings[t + 2]), t
+    assert energy_holds(g, colorings)
 
 
 # Every line break str.splitlines knows, "\r\n" among them.

@@ -1,6 +1,7 @@
 import random
 from array import array
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +26,14 @@ from colorref import refine
 from colorref.cli import main
 from colorref.refine import _BLOCK, _portraits
 from conftest import (
+    GADGET_EDGES,
+    GADGET_START,
     brute_inequitable_pair,
     brute_portrait,
     complete_graph,
     cycle_graph,
+    energy,
+    energy_holds,
     gadget_and_path,
     index_portraits,
     is_refinement,
@@ -265,6 +270,78 @@ def test_a_cycling_run_rekeys_to_its_cap(monkeypatch):
     assert t.colorings == stepped_run(g, start)
 
 
+@pytest.mark.parametrize("n, edges, marked", [
+    # every pair of classes next to each other in the rank order keeps its
+    # order while two others swap: a run that re-placed only the classes
+    # next to a moved one gave wrong colors here; the run has period 2
+    (21, [(0, 1), (0, 3), (2, 18), (5, 20)], {2: 1, 20: 1, 18: 2}),
+    # re-placed classes that keep their places among the clean ones but
+    # swap among themselves: a run that took none of them as moved failed
+    (5, [(0, 1), (0, 3), (2, 4)], {2: 1, 3: 1}),
+], ids=["21 vertices", "5 vertices"])
+def test_a_run_re_places_every_class_whose_order_can_change(monkeypatch, n, edges, marked):
+    g = new_graph(n, edges)
+    start = coloring_from_labels([marked.get(v, 0) for v in range(n)])
+    assert refine_to_fixpoint(g, start).colorings == stepped_run(g, start)
+    monkeypatch.setattr(refine, "_rekeys", lambda moved, k, n: True)
+    assert refine_to_fixpoint(g, start).colorings == stepped_run(g, start)
+
+
+def re_placed_classes(monkeypatch):
+    # a list that gains an entry for each class a re-keying step re-places
+    # in the rank order (_gap call) from here on
+    calls = []
+    gap = refine._gap
+    monkeypatch.setattr(refine, "_gap", lambda *args: calls.append(None) or gap(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["path", "gadget and path", "union"])
+def test_a_rekeying_step_re_places_few_classes(monkeypatch, name):
+    # The rank order is kept from step to step, so a step re-places only
+    # the classes whose order can change: a few, not all K of them, and no
+    # cascade through classes that were merely passed by one that moved.
+    # In the union the gadget's and the 2-cycle's classes jump past the
+    # path's at every step; taking the path's as moved cascades.
+    if name == "path":
+        g = path_graph(2000)
+        start = zero_coloring(g)
+    elif name == "gadget and path":
+        g, start = gadget_and_path(400)
+    else:
+        path = [(v, v + 1) for v in range(6, 405)]
+        g = new_graph(510, GADGET_EDGES + path + [(406, 408), (407, 409)])
+        start = coloring_from_labels(GADGET_START + [3] * 400 + [0, 1, 0, 0] + [0] * 100)
+    blocks = block_steps(monkeypatch)
+    placed = re_placed_classes(monkeypatch)
+    t = refine_to_fixpoint(g, start)
+    rekeying = len(t.colorings) - 1 - len(blocks)
+    assert rekeying >= 400
+    assert len(placed) <= 10 * rekeying
+
+
+@pytest.mark.parametrize("name", ["path", "gadget and path", "two-cycle"])
+def test_a_run_hands_its_stop_to_the_trace(monkeypatch, name):
+    # refine_to_fixpoint knows where it stopped, so converged_at runs no
+    # isomorphism test of its own, and it equals a fresh trace's
+    if name == "path":
+        g = path_graph(60)
+        start = zero_coloring(g)
+    elif name == "gadget and path":
+        g, start = gadget_and_path(40)
+    else:
+        g, start = new_graph(4, [(0, 2), (1, 3)]), coloring_from_labels([0, 1, 0, 0])
+    calls = []
+    isomorphic = refine.colorings_isomorphic
+    monkeypatch.setattr(refine, "colorings_isomorphic",
+                        lambda *args: calls.append(None) or isomorphic(*args))
+    t = refine_to_fixpoint(g, start)
+    tests = len(calls)
+    assert t.converged_at == (30 if name == "path" else None)
+    assert len(calls) == tests == len(t.colorings) - 1
+    assert t.converged_at == RefinementTrace(t.colorings).converged_at
+
+
 def test_a_run_checks_its_arguments():
     g = path_graph(3)
     with pytest.raises(ValueError, match="^coloring and graph have different vertex counts$"):
@@ -387,7 +464,9 @@ def test_every_start_on_up_to_five_vertices_ends_in_period_one_or_two():
     # vertices, from every start partition (54 254 runs), repeats a partition
     # by step max(n, 1) with period 1 or 2. A run converges exactly when the
     # period is 1, at that repeat, and there the oracle agrees. The two-step
-    # lemma holds in every run: P_{t+2} refines P_t for each t >= 2.
+    # lemma holds in every run: P_{t+2} refines P_t for each t >= 2. The
+    # energy E of the proof never falls, and stays flat from its first flat
+    # step on.
     periods = Counter()
     for n in range(6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -404,12 +483,23 @@ def test_every_start_on_up_to_five_vertices_ends_in_period_one_or_two():
                 cs = t.colorings
                 assert all(is_refinement(cs[s], cs[s + 2]) for s in range(2, len(cs) - 2)), (
                     n, mask, start.colors)
+                assert energy_holds(g, cs), (n, mask, start.colors)
                 if period == 1:
                     assert t.converged_at == step
                     assert naive_refine(g, start) == partition_of(t.final)
                 else:
                     assert t.converged_at is None
     assert periods == {1: 52190, 2: 2064}
+
+
+def test_energy_from_one_class_to_singletons():
+    # one class C = V gives |A 1_V|^2 / n, the squared degrees over n; a
+    # singleton {v} gives deg(v), so singletons give 2m
+    g = path_graph(5)
+    assert energy(g, zero_coloring(g)) == Fraction(1 + 4 + 4 + 4 + 1, 5)
+    assert energy(g, coloring_from_labels(range(5))) == 8
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    assert [energy(g, c) for c in t.colorings] == [Fraction(14, 5), Fraction(11, 3), 6, 6]
 
 
 def test_two_cycle_alternates_between_different_class_counts():
