@@ -41,7 +41,11 @@ DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
     # ``write`` fills a sibling temp file, which is then renamed, so a
     # failure mid-write never leaves a partial file at the destination.
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        # some part of the parent path is a file: name the destination
+        raise NotADirectoryError(f"{path}: {path.parent} is not a directory") from None
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         # the file object owns fd from here, so a failure below closes it
@@ -64,11 +68,12 @@ def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
 
 
 def _load(path: str, parse, *args):
-    # the parser reads the open file a chunk at a time; a decode error of a
-    # read is a ValueError too, so it names the file, as does a vertex count
-    # whose first column cannot be allocated
+    # the parser reads the open file a chunk at a time; an invalid UTF-8
+    # byte is read as a lone surrogate, which the parser's line reader
+    # rejects with the line's number. Every ValueError then names the file,
+    # as does a vertex count whose first column cannot be allocated
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return parse(fh, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -8,7 +8,9 @@ Edge list
 
 DIMACS edge format
     ``c`` comment lines, a single ``p edge <n> <m>`` problem line, then
-    ``e <u> <v>`` lines with 1-based ids.
+    ``e <u> <v>`` lines with 1-based ids. The declared edge count ``m`` is
+    checked to be an integer and otherwise ignored: the graph has the
+    edges its ``e`` lines list, whatever their number.
 
 Coloring file
     One assignment per line as ``v c``; every vertex exactly once.
@@ -101,6 +103,11 @@ _NOT_PAIRS = re.compile(r"\n(?!\Z)(?![0-9]{1,18} [0-9]{1,18}\n)")
 _NOT_EDGES = re.compile(r"\n(?!\Z)(?!e [0-9]{1,18} [0-9]{1,18}\n)")
 
 
+# The characters that errors="surrogateescape" decodes an invalid UTF-8
+# byte 0x80 .. 0xff to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
     """Yield ``(line number, fields, to_int)`` of each line that is neither
     blank nor a comment.
@@ -109,7 +116,10 @@ def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
     The parser's hook ``plain``, if any, gets each piece and the number of
     its first line. It takes the piece's lines and returns True only for a
     piece in the parser's plain shape that passes the parser's line checks;
-    the lines of every other piece are yielded.
+    the lines of every other piece are yielded. A line holding a character
+    U+DC80 .. U+DCFF, which ``errors="surrogateescape"`` reads an invalid
+    UTF-8 byte as, raises the ParseError that names its line, comment or
+    not.
 
     ``to_int`` is the token converter for the piece the line came in:
     ``int`` itself where it is exact. On a whitespace-free token int()
@@ -128,9 +138,13 @@ def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
             if plain is not None and plain(piece, first):
                 first += piece.count("\n")  # a plain piece's only line break
                 continue
-            to_int = int if piece.isascii() and "_" not in piece else _strict_int
+            ascii_text = piece.isascii()
+            to_int = int if ascii_text and "_" not in piece else _strict_int
             lines = piece.splitlines()
             for lineno, raw in enumerate(lines, first):
+                if not ascii_text and (bad := _UNDECODED.search(raw)):
+                    byte = ord(bad.group()) - 0xDC00
+                    raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", lineno)
                 parts = raw.split()
                 if parts and not parts[0].startswith(comment):
                     yield lineno, parts, to_int

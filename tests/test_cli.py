@@ -123,23 +123,29 @@ def test_undecodable_graph_file_is_named(tmp_path, capsys, command):
     bad.write_bytes(b"0 1\n1 \xff\n")
     assert main([arg.format(bad) for arg in command]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {bad}: ") and "can't decode" in err
+    assert (out, err) == ("", f"error: {bad}: line 2: byte 0xff is not valid UTF-8\n")
     assert not (tmp_path / "bad.edges.trace").exists()
 
 
-def test_undecodable_block_counts_the_position_from_the_block(tmp_path, capsys):
-    # the file is read a chunk at a time, so the codec names the position of
-    # the byte in the block it was decoding: of ASCII text, a whole number of
-    # _CHUNK-byte reads precede that block
+@pytest.mark.parametrize("last", [b"\xff\n", b"# caf\xe9\n", b"0 1 \xc3\n"],
+                         ids=["byte", "comment", "field"])
+def test_an_undecodable_byte_names_its_line(tmp_path, capsys, last):
+    # the file is read a chunk at a time; the byte's line lies well past the
+    # first read, and a comment or a line with another fault is no exception
     bad = tmp_path / "bad.edges"
-    bad.write_bytes(b"0 1\n" * 29999 + b"\xff\n")
-    offset = 4 * 29999
-    assert offset > _CHUNK
+    bad.write_bytes(b"0 1\n" * 29999 + last)
+    assert 4 * 29999 > _CHUNK
     assert main(["refine", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position"
-        f" {offset % _CHUNK}: invalid start byte\n"
+        f"error: {bad}: line 30000: byte 0x{last.rstrip()[-1]:02x} is not valid UTF-8\n"
     )
+
+
+def test_valid_utf8_in_a_comment_is_read(tmp_path, capsys):
+    good = tmp_path / "good.edges"
+    good.write_bytes("# café\n0 1\n".encode())
+    assert main(["refine", str(good)]) == 0
+    assert capsys.readouterr().out == "n=2 m=1 K_final=1 converged_at=1\n"
 
 
 def test_a_fault_before_the_undecodable_block_is_reported_first(tmp_path, capsys):
@@ -422,6 +428,24 @@ def test_output_goes_into_directories_that_do_not_exist_yet(tmp_path, capsys, p5
     trace = tmp_path / "runs" / "p5" / "out.trace"
     assert main(["refine", p5, "--trace", str(trace)]) == 0
     assert trace.read_text().startswith("# colorref refine input=")
+
+
+@pytest.mark.parametrize("command, written", [
+    (["refine", "{p5}", "--trace", "{out}"], "{out}"),
+    (["refine", "{p5}", "--dot", "{out}"], "{out}"),
+    (["gen", "5", "0.5", "--out", "{out}"], "{out}"),
+    (["search", "--max-n", "4", "--attempts", "200", "--out", "{dir}"], "{dir}/graph.edges"),
+], ids=["trace", "dot", "gen", "search"])
+def test_an_output_under_a_regular_file_names_the_destination(
+    tmp_path, capsys, p5, command, written
+):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    names = {"p5": p5, "dir": str(afile), "out": str(afile / "x")}
+    assert main([arg.format(**names) for arg in command]) == 2
+    path = written.format(**names)
+    assert capsys.readouterr().err == f"error: {path}: {afile} is not a directory\n"
+    assert afile.read_text() == "not a directory\n"
 
 
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):

@@ -107,6 +107,14 @@ def test_parse_dimacs_duplicate_edges_collapse():
     assert g.edge_count == 1
 
 
+def test_parse_dimacs_checks_only_the_syntax_of_the_edge_count():
+    # the edges are counted as read; the declared count is never compared
+    for m in ("0", "99999999999", "-5"):
+        assert parse_dimacs(f"p edge 3 {m}\ne 1 2\n") == new_graph(3, [(0, 1)])
+    with pytest.raises(ParseError, match="^line 1: edge count 'x' is not an integer$"):
+        parse_dimacs("p edge 3 x\ne 1 2\n")
+
+
 def test_formats_agree_on_shared_graphs():
     edge_text = "n 4\n0 1\n1 2\n2 3"
     dimacs_text = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4"
@@ -809,6 +817,14 @@ MESSAGE_CASES = [
     (naive_refine, (path_graph(2), coloring_from_labels([0])), ValueError,
      "coloring and graph have different vertex counts"),
     (random_graph, (4, 1.5, 0), ValueError, "edge_probability must be in [0, 1]"),
+    # an invalid UTF-8 byte, read with errors="surrogateescape", is named
+    # with its line before the line's comment test or fields are read
+    (parse_edge_list, ("0 1\n# caf\udce9\n1 1\n",), ParseError,
+     "line 2: byte 0xe9 is not valid UTF-8"),
+    (parse_dimacs, ("c \u00e9\n" + P31 + "e 1 \udcff\n",), ParseError,
+     "line 3: byte 0xff is not valid UTF-8"),
+    (parse_coloring, ("0 0\n1 1 \udc80\n",), ParseError, "line 2: byte 0x80 is not valid UTF-8"),
+    (parse_trace, ("# \udcc3\n" + H,), ParseError, "line 1: byte 0xc3 is not valid UTF-8"),
 ]
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 from colorref import Graph, expand_edges, graph, new_graph, random_graph
+from colorref.cli import main
 from conftest import complete_graph, cycle_graph, path_graph, peak_bytes, star_graph, torus_graph
 
 
@@ -172,6 +174,57 @@ def test_random_graph_keeps_an_edge_only_when_its_draw_is_below_p():
     draw = random.Random(0).random()
     assert random_graph(2, draw, 0).edge_count == 0
     assert random_graph(2, math.nextafter(draw, 1), 0).edge_count == 1
+
+
+def per_call_edges(n, p, seed):
+    # random_graph's per-draw form, the oracle for its sparse path: one
+    # rng.random() per pair u < v in lexicographic order
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+# p = 0 and 1; 2**-27, which only draws whose first word is below 32 fall
+# below; both sides of the cut between the two paths; and each k/256 with
+# the float just below it, where the top byte that a draw below p can have
+# changes
+DRAW_PROBABILITIES = sorted({
+    0, 1, 2**-27, 0.0045, 0.02, math.nextafter(graph._SPARSE_BELOW, 0),
+    graph._SPARSE_BELOW, 0.05, 0.5,
+    *(x for k in range(1, 257) for x in (k / 256, math.nextafter(k / 256, 0))),
+})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 37, 300])
+def test_random_graph_equals_one_draw_per_pair(n):
+    # n = 300 has 44 850 pairs, more than one getrandbits chunk; past the
+    # cut both forms are the same code, so the largest n stops there
+    for seed in range(4):
+        for p in DRAW_PROBABILITIES:
+            if n < 300 or p <= graph._SPARSE_BELOW:
+                assert random_graph(n, p, seed).edges() == per_call_edges(n, p, seed), (n, p, seed)
+
+
+def test_sparse_path_keeps_an_edge_only_when_its_draw_is_below_p():
+    # the lowest draw of the second getrandbits chunk, as an edge probability
+    # below the cut: its own pair is then the only one at the boundary
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+    draws = [rng.random() for _ in pairs]
+    i = min(range(graph._BULK, len(draws)), key=draws.__getitem__)
+    p, pair = draws[i], pairs[i]
+    assert p < graph._SPARSE_BELOW
+    below = random_graph(300, p, 7).edges()
+    assert pair not in below and below == per_call_edges(300, p, 7)
+    assert random_graph(300, math.nextafter(p, 1), 7).edges() == sorted(below + [pair])
+
+
+def test_gen_bytes_of_the_sparse_gnp_input_are_pinned(tmp_path):
+    # the sparse_gnp benchmark workload's seed-0 input
+    out = tmp_path / "g.edges"
+    assert main(["gen", "2000", "0.0045", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "dba690980b9255a8a0a53cc5026b32895dd36ebc681855cd0ffdfdf8ce6a0ea2"
+    )
 
 
 def test_random_graph_deterministic():
