@@ -38,14 +38,22 @@ EXIT_NOT_CONVERGED = 3
 DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 
 
-def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
-    # ``write`` fills a sibling temp file, which is then renamed, so a
-    # failure mid-write never leaves a partial file at the destination.
+def _check_destination(path: Path) -> None:
+    # make the parent directories of an output file, or name the
+    # destination where it cannot be a file, before any output is written
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         # some part of the parent path is a file: name the destination
         raise NotADirectoryError(f"{path}: {path.parent} is not a directory") from None
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
+
+
+def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
+    # ``write`` fills a sibling temp file, which is then renamed, so a
+    # failure mid-write never leaves a partial file at the destination.
+    _check_destination(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         # the file object owns fd from here, so a failure below closes it
@@ -97,6 +105,12 @@ def _cmd_refine(args) -> int:
     max_iters = args.max_iters
     if max_iters is not None and max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
+    trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
+    # both destinations are checked before the run, so a bad DOT path
+    # leaves the trace file as it was
+    _check_destination(trace_path)
+    if args.dot:
+        _check_destination(Path(args.dot))
     trace = refine_to_fixpoint(target, initial, max_iters)
     doc = trace_document(trace, g, expanded=args.expand_edges)
     echo = (
@@ -105,7 +119,6 @@ def _cmd_refine(args) -> int:
         f" expand_edges={str(args.expand_edges).lower()}"
         f" max_iters={max_iters if max_iters is not None else target.vertex_count + 2}\n"
     )
-    trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
 
     def write_trace(fh: io.TextIOBase) -> None:
         fh.write(echo)

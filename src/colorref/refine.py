@@ -7,7 +7,9 @@ all-equal start iterating the step only refines, and it stabilises within
 vertices see identical color counts around them). From other starts a
 step can merge classes, and the partition can cycle without ever settling,
 but every run ends in period 1 or 2: the README section "Every run ends in
-period 1 or 2" proves it with an energy that never falls.
+period 1 or 2" proves it with an energy that never falls. A step reads the
+colors alone, so once a coloring equals the one two steps back, the run
+repeats its last two forever, and ``refine_to_fixpoint`` stops stepping.
 
 The engine never builds the dense count vector. It keys each vertex by the
 sorted multiset of its neighbours' colors followed by the sentinel
@@ -40,12 +42,13 @@ colors, and those K keys, largest first, give the block step's colors,
 since the block step ranks the same K distinct keys. That rank order is
 kept from step to step: two classes can change order only if one has a
 new id key or names a class that moved in it, so only these D dirty
-classes are put back, by binary search. A re-keying step costs
-O(Σ d log d over the re-keyed vertices + D log K + K + n). The run hands
-over to it after a block step that moved few vertices, deriving the ids
-from the two colorings it holds, and goes back to block steps when too
-many vertices move; ``_rekeys`` makes both choices, which change only the
-cost.
+classes are put back, by binary search; after a step in which a class
+moved, one O(m) scan of the K id keys finds those that name it. A
+re-keying step costs O(Σ d log d over the re-keyed vertices + D log K + K
++ n) beside that scan. The run hands over to it after a block step that
+moved few vertices, deriving the ids from the two colorings it holds, and
+goes back to block steps when too many vertices move; ``_rekeys`` makes
+both choices, which change only the cost.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain, compress, count, islice, pairwise
+from itertools import chain, compress, count, cycle, islice, pairwise
 from operator import ne, sub
 
 from ._record import _Record
@@ -203,7 +206,9 @@ def refine_to_fixpoint(
     and one more step witnesses the isomorphism. Other starts can cycle
     forever: on the edges {0, 2}, {1, 3} the start (0, 1, 0, 0) alternates
     between two partitions. The trace then stops at the cap, and its
-    ``converged_at`` is None rather than an error.
+    ``converged_at`` is None rather than an error. A step reads the colors
+    alone, so once a coloring equals the one two steps back, the last two
+    fill the trace to the cap without another step.
     """
     _check_sizes(g, initial)
     if max_iters is None:
@@ -215,6 +220,9 @@ def refine_to_fixpoint(
         colorings.append(nxt)
         if colorings_isomorphic(colorings[-2], nxt) is not None:
             stopped = t
+            break
+        if t >= 2 and nxt.colors == colorings[-3].colors:
+            colorings += islice(cycle(colorings[-2:]), max_iters - t)
             break
     trace = RefinementTrace(tuple(colorings))
     vars(trace)["converged_at"] = stopped  # the cached property, known here
@@ -291,15 +299,13 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
             taken.add(i)
         ids = list(map(id_of.__getitem__, cur))
         moved = list(compress(range(n), map(ne, ids, p)))  # id is not the previous color
+        if not _rekeys(len(moved), k, n):
+            continue
         at = p.__getitem__
         key_of = {id_of[x]: tuple(sorted(map(at, targets[offsets[v]:offsets[v + 1]])))
                   for x, v in first.items()}
         class_of = {key: i for i, key in key_of.items()}
         size = {id_of[x]: s for x, s in size.items()}
-        users: dict[int, set[int]] = {}  # id -> the classes whose key names it
-        for i, key in key_of.items():
-            for j in key:
-                users.setdefault(j, set()).add(i)
         # The rank order, order[x] the id of color x; at first every id
         # counts as moved, so the first step places every class.
         order = list(map(id_of.__getitem__, range(k)))
@@ -316,12 +322,7 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
                     size[ids[v]] -= 1
             emptied = {ids[v] for v, _ in movers if not size[ids[v]]}
             for i in emptied:
-                key = key_of.pop(i)
-                del class_of[key], size[i]
-                for j in set(key):
-                    users[j].discard(i)
-                    if not users[j]:
-                        del users[j]
+                del class_of[key_of.pop(i)], size[i]
             # A vertex joins the class of its new key. A new key's class
             # takes the mover's old id if that class emptied, else a fresh one.
             moved, dirty = [], set()
@@ -332,16 +333,14 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
                     i = next(fresh) if old in size else old
                     class_of[key], key_of[i], size[i] = i, key, 0
                     dirty.add(i)
-                    for j in key:
-                        users.setdefault(j, set()).add(i)
                 size[i] += 1
                 if i != old:
                     ids[v] = i
                     moved.append(v)
-            # The clean classes keep their order; each dirty one is placed
-            # among them by binary search on its engine key.
-            for j in shifted:
-                dirty.update(users.get(j, ()))
+            # The clean classes keep their order; each dirty one, new or with
+            # a key that names a shifted id, is placed among them by binary search.
+            if shifted:
+                dirty.update(i for i, key in key_of.items() if not shifted.isdisjoint(key))
             out = sorted(color_of[i] for i in dirty | emptied if i in color_of)
             clean = list(chain.from_iterable(
                 order[a + 1:b] for a, b in pairwise([-1, *out, len(order)])))

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -15,6 +16,7 @@ from colorref import (
     emit_trace_document,
     formats,
     new_graph,
+    refine,
     refine_step,
     refine_to_fixpoint,
 )
@@ -69,6 +71,25 @@ def stepped_run(g, start, max_iters=None):
         if colorings_isomorphic(*colorings[-2:]) is not None:
             break
     return tuple(colorings)
+
+
+def iterated(g, start, steps):
+    # reference for refine._run: the colorings after start, refine_step
+    # applied in turn with no stop rule, so a cycling run is stepped through
+    colorings = [start]
+    for _ in range(steps):
+        colorings.append(refine_step(g, colorings[-1]))
+    return tuple(colorings[1:])
+
+
+def runs_as_iterated(g, start, steps):
+    # whether refine._run's first steps are refine_step iterated, with the
+    # real choice of step and with a re-keying step wherever one can start
+    run = tuple(islice(refine._run(g, start), steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "_rekeys", lambda moved, k, n: True)
+        rekeyed = tuple(islice(refine._run(g, start), steps))
+    return run == rekeyed == iterated(g, start, steps)
 
 
 def energy(g, c):

@@ -448,6 +448,31 @@ def test_an_output_under_a_regular_file_names_the_destination(
     assert afile.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["refine", "{p5}", "--trace", "{out}"],
+    ["refine", "{p5}", "--dot", "{out}"],
+    ["gen", "5", "0.5", "--out", "{out}"],
+], ids=["trace", "dot", "gen"])
+def test_an_output_that_is_a_directory_is_refused_before_writing(tmp_path, capsys, p5, command):
+    adir = tmp_path / "adir"
+    (adir / "kept").mkdir(parents=True)
+    assert main([arg.format(p5=p5, out=adir) for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: {adir}: is a directory\n"
+    # no temp file, and no trace beside a refused DOT path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "p5.edges"]
+    assert [p.name for p in adir.iterdir()] == ["kept"]
+
+
+def test_a_dot_path_that_cannot_be_written_leaves_the_trace_as_it_was(tmp_path, capsys, p5):
+    trace = tmp_path / "p5.edges.trace"
+    trace.write_text("old trace\n")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    assert main(["refine", p5, "--dot", str(afile / "x.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {afile / 'x.dot'}: {afile} is not a directory\n"
+    assert trace.read_text() == "old trace\n"
+
+
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):
     class Interrupted(Exception):
         pass

@@ -50,6 +50,7 @@ from conftest import (
     parse_outcome,
     reference_expansion,
     reference_rows,
+    runs_as_iterated,
     stepped_run,
 )
 
@@ -263,6 +264,9 @@ def test_a_run_is_refine_step_iterated(run):
     target(len(trace.colorings), label="colorings in the run")
     assert trace.colorings == stepped_run(g, start, cap)
     assert trace.converged_at == RefinementTrace(trace.colorings).converged_at
+    # the run stops stepping at its first exact repeat, so the run itself is
+    # held to refine_step through a cycle, up to the default cap
+    assert runs_as_iterated(g, start, g.vertex_count + 2)
 
 
 @given(sparse_runs(), st.randoms(use_true_random=False))

@@ -39,6 +39,7 @@ from conftest import (
     is_refinement,
     path_graph,
     peak_bytes,
+    runs_as_iterated,
     star_graph,
     stepped_run,
     torus_graph,
@@ -261,7 +262,8 @@ def test_runs_that_move_many_vertices_take_block_steps_only(monkeypatch, name):
 
 def test_a_cycling_run_rekeys_to_its_cap(monkeypatch):
     # the gadget's classes swap at every step and the path refines beside
-    # it, so the run reaches its cap of n + 2 = 308 steps
+    # it, so the run re-keys until its coloring first repeats, and its trace
+    # reaches the cap of n + 2 = 308 steps
     g, start = gadget_and_path(300)
     blocks = block_steps(monkeypatch)
     t = refine_to_fixpoint(g, start)
@@ -283,6 +285,9 @@ def test_a_run_re_places_every_class_whose_order_can_change(monkeypatch, n, edge
     g = new_graph(n, edges)
     start = coloring_from_labels([marked.get(v, 0) for v in range(n)])
     assert refine_to_fixpoint(g, start).colorings == stepped_run(g, start)
+    # refine_to_fixpoint stops stepping at the first exact repeat, so the
+    # run itself is held to refine_step through many turns of the cycle
+    assert runs_as_iterated(g, start, 3 * n)
     monkeypatch.setattr(refine, "_rekeys", lambda moved, k, n: True)
     assert refine_to_fixpoint(g, start).colorings == stepped_run(g, start)
 
@@ -323,7 +328,9 @@ def test_a_rekeying_step_re_places_few_classes(monkeypatch, name):
 @pytest.mark.parametrize("name", ["path", "gadget and path", "two-cycle"])
 def test_a_run_hands_its_stop_to_the_trace(monkeypatch, name):
     # refine_to_fixpoint knows where it stopped, so converged_at runs no
-    # isomorphism test of its own, and it equals a fresh trace's
+    # isomorphism test of its own, and it equals a fresh trace's. A cycling
+    # run tests each step it computes, up to its first exact repeat, and
+    # then repeats its last two colorings to the cap without a test.
     if name == "path":
         g = path_graph(60)
         start = zero_coloring(g)
@@ -338,8 +345,67 @@ def test_a_run_hands_its_stop_to_the_trace(monkeypatch, name):
     t = refine_to_fixpoint(g, start)
     tests = len(calls)
     assert t.converged_at == (30 if name == "path" else None)
-    assert len(calls) == tests == len(t.colorings) - 1
+    if name == "path":
+        assert tests == len(t.colorings) - 1
+    else:
+        assert tests == exact_repeat(t.colorings) == {"gadget and path": 21, "two-cycle": 2}[name]
+    assert len(calls) == tests
     assert t.converged_at == RefinementTrace(t.colorings).converged_at
+
+
+def exact_repeat(colorings):
+    # the first step whose coloring equals the one two steps back
+    return next(t for t in range(2, len(colorings)) if colorings[t] == colorings[t - 2])
+
+
+def computed_steps(monkeypatch):
+    # a list that gains an entry for each coloring refine._run computes, by
+    # a block step or a re-keying step, from here on
+    calls = []
+    run = refine._run
+    monkeypatch.setattr(refine, "_run", lambda *args: (calls.append(None) or c for c in run(*args)))
+    return calls
+
+
+def random_tree(n, seed):
+    # a random tree from a random 3-class start
+    rng = random.Random(seed)
+    g = new_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    return g, coloring_from_labels([rng.randrange(3) for _ in range(n)])
+
+
+def paired_path(n):
+    # P_n from the start (0011)^(n/4), for n divisible by 4
+    return path_graph(n), coloring_from_labels([v % 4 // 2 for v in range(n)])
+
+
+@pytest.mark.parametrize("name", ["cycling tree", "paired path"])
+def test_a_run_computes_no_step_past_its_destiny(monkeypatch, name):
+    # A step reads the colors alone, so a run stops stepping at its first
+    # exact repeat two steps back and fills its trace to the cap with its
+    # last two colorings; the trace then holds one Coloring per computed
+    # step beside the start. The tree first repeats after a few of its
+    # n + 2 = 502 steps, and the paired path converges at step n.
+    g, start = random_tree(500, 1) if name == "cycling tree" else paired_path(400)
+    steps = computed_steps(monkeypatch)
+    t = refine_to_fixpoint(g, start)
+    assert len({id(c) for c in t.colorings}) == len(steps) + 1
+    if name == "cycling tree":
+        assert t.converged_at is None and len(t.colorings) == 503
+        assert len(steps) == exact_repeat(t.colorings) <= 10
+    else:
+        assert t.converged_at == len(steps) == 400
+    assert t.colorings == stepped_run(g, start)
+
+
+@pytest.mark.parametrize("n", [8, 40, 100])
+def test_the_paired_path_converges_at_step_n(n):
+    # no partition repeats before step n, twice the all-equal path's n / 2:
+    # the longest run known
+    g, start = paired_path(n)
+    t = refine_to_fixpoint(g, start)
+    assert t.converged_at == n
+    assert first_repeat(t.colorings) == (n, 1)
 
 
 def test_a_run_checks_its_arguments():
