@@ -39,21 +39,21 @@ DIMACS_SUFFIXES = {".col", ".clq", ".dimacs"}
 
 
 def _check_destination(path: Path) -> None:
-    # make the parent directories of an output file, or name the
-    # destination where it cannot be a file, before any output is written
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        # some part of the parent path is a file: name the destination
-        raise NotADirectoryError(f"{path}: {path.parent} is not a directory") from None
+    # name the destination where it cannot be a file, before any work is
+    # done for it and without making any directory
     if path.is_dir():
         raise IsADirectoryError(f"{path}: is a directory")
+    above = next(p for p in (path.parent, *path.parent.parents) if p.exists())
+    if not above.is_dir():
+        # some part of the parent path is a file: name the destination
+        raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
 
 
 def _write_atomic(path: Path, write: Callable[[io.TextIOBase], object]) -> None:
     # ``write`` fills a sibling temp file, which is then renamed, so a
     # failure mid-write never leaves a partial file at the destination.
     _check_destination(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         # the file object owns fd from here, so a failure below closes it
@@ -106,8 +106,8 @@ def _cmd_refine(args) -> int:
     if max_iters is not None and max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
     trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
-    # both destinations are checked before the run, so a bad DOT path
-    # leaves the trace file as it was
+    # both destinations are checked before the run, and a check makes no
+    # directory, so a bad DOT path leaves the trace and its directory unmade
     _check_destination(trace_path)
     if args.dot:
         _check_destination(Path(args.dot))
@@ -201,6 +201,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.out:
+        _check_destination(Path(args.out))
     g = random_graph(args.n, args.p, args.seed)
 
     def write(fh: io.TextIOBase) -> None:

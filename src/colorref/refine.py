@@ -8,8 +8,8 @@ vertices see identical color counts around them). From other starts a
 step can merge classes, and the partition can cycle without ever settling,
 but every run ends in period 1 or 2: the README section "Every run ends in
 period 1 or 2" proves it with an energy that never falls. A step reads the
-colors alone, so once a coloring equals the one two steps back, the run
-repeats its last two forever, and ``refine_to_fixpoint`` stops stepping.
+colors alone, so a coloring equal to the one two steps back repeats with
+it forever, and there ``refine_to_fixpoint`` stops stepping.
 
 The engine never builds the dense count vector. It keys each vertex by the
 sorted multiset of its neighbours' colors followed by the sentinel
@@ -46,9 +46,9 @@ classes are put back, by binary search; after a step in which a class
 moved, one O(m) scan of the K id keys finds those that name it. A
 re-keying step costs O(Σ d log d over the re-keyed vertices + D log K + K
 + n) beside that scan. The run hands over to it after a block step that
-moved few vertices, deriving the ids from the two colorings it holds, and
-goes back to block steps when too many vertices move; ``_rekeys`` makes
-both choices, which change only the cost.
+moved few vertices while K is small, as its first step places all K
+classes, and goes back to block steps when a step moves too many vertices
+or dirties too many classes. ``_rekeys`` decides; it changes only the cost.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ def _portraits(g: Graph, c: Coloring) -> Iterator[list[tuple[int, ...]]]:
     sentinel. So key(a) < key(b): ascending dense order is reverse key
     order, and equal keys mean equal vectors.
 
-    This is the only place a portrait is built; the dense vectors exist
-    only in the test reference in ``tests/conftest.py``. It stays lazy
-    across blocks, so that ``refine_step`` holds only the distinct keys
-    and one block, and ``find_inequitable_pair`` one key per class and up
-    to one block, up to the first split.
+    This is the only place a portrait is built. It stays lazy across
+    blocks, so that ``refine_step`` holds only the distinct keys and one
+    block, and ``find_inequitable_pair`` one key per class and up to one
+    block, up to the first split.
     """
     k = c.palette_size
     at = c.colors.__getitem__
@@ -205,10 +204,9 @@ def refine_to_fixpoint(
     all-equal start the partition stabilises within ``vertex_count`` steps
     and one more step witnesses the isomorphism. Other starts can cycle
     forever: on the edges {0, 2}, {1, 3} the start (0, 1, 0, 0) alternates
-    between two partitions. The trace then stops at the cap, and its
-    ``converged_at`` is None rather than an error. A step reads the colors
-    alone, so once a coloring equals the one two steps back, the last two
-    fill the trace to the cap without another step.
+    between two partitions, and ``converged_at`` is None rather than an
+    error. A step reads the colors alone, so once a coloring equals the one
+    two steps back, the last two fill the trace to the cap without a step.
     """
     _check_sizes(g, initial)
     if max_iters is None:
@@ -229,10 +227,10 @@ def refine_to_fixpoint(
     return trace
 
 
-def _rekeys(moved: float, k: int, n: int) -> bool:
-    # whether a step that re-keys the neighbours of about ``moved`` vertices
-    # and re-places their classes beats a block step over n vertices
-    return 4 * moved + k < n
+def _rekeys(work: float, k: int, n: int) -> bool:
+    # whether a re-keying step beats a block step over n vertices, with
+    # ``work`` the vertices that moved plus the classes it re-places
+    return 4 * work + k < n
 
 
 def _gap(ranked: list[int], key: list[int], key_at: Callable[[int], list[int]]) -> int:
@@ -279,14 +277,14 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
         prev, c = c, _step(g, c, ints)
         yield c
         k = c.palette_size
-        # a refining step moves about |K - K_prev| * n / K vertices
-        if not _rekeys(abs(k - prev.palette_size) * n / (k or 1), k, n):
+        # a refining step moves about |K - K_prev| * n / K vertices; a first
+        # re-keying step re-places all K classes
+        if not _rekeys(abs(k - prev.palette_size) * n / (k or 1) + k, k, n):
             continue
-        # Hand-over: the previous colors serve as the ids of the previous
-        # classes. A class of c takes the previous color of its first
-        # member, the largest of the classes that share one keeps it, and
-        # the others take fresh ids from n up. Its key is read over the
-        # previous colors at its first member.
+        # Hand-over: the previous colors serve as the ids of the previous classes.
+        # A class of c takes the previous color of its first member, the largest
+        # of the classes that share one keeps it, and the others take fresh ids
+        # from n up. Its key is read over the previous colors at its first member.
         p, cur = prev.colors, c.colors
         first = dict(zip(reversed(cur), range(n - 1, -1, -1)))  # color -> first member
         size = Counter(cur)
@@ -311,7 +309,7 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
         order = list(map(id_of.__getitem__, range(k)))
         color_of = dict(zip(order, ints))  # id -> color of c
         shifted = set(order)
-        while _rekeys(len(moved), k, n):
+        while True:
             # Only a neighbour of a vertex whose id changed can change key.
             at = ids.__getitem__
             movers = []
@@ -341,6 +339,8 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
             # a key that names a shifted id, is placed among them by binary search.
             if shifted:
                 dirty.update(i for i, key in key_of.items() if not shifted.isdisjoint(key))
+            if not _rekeys(len(moved) + len(dirty), k, n):
+                break  # a block step from c costs less
             out = sorted(color_of[i] for i in dirty | emptied if i in color_of)
             clean = list(chain.from_iterable(
                 order[a + 1:b] for a, b in pairwise([-1, *out, len(order)])))

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 
 from colorref import Graph, parse_edge_list, parse_trace, partition_of
+from colorref import cli
 from colorref.cli import _write_atomic, main
 from colorref.formats import _CHUNK
 from conftest import HUGE, edge_colors
@@ -453,7 +454,14 @@ def test_an_output_under_a_regular_file_names_the_destination(
     ["refine", "{p5}", "--dot", "{out}"],
     ["gen", "5", "0.5", "--out", "{out}"],
 ], ids=["trace", "dot", "gen"])
-def test_an_output_that_is_a_directory_is_refused_before_writing(tmp_path, capsys, p5, command):
+def test_an_output_that_is_a_directory_is_refused_before_writing(
+    tmp_path, capsys, monkeypatch, p5, command
+):
+    def wasted(*args):
+        raise AssertionError("the output was computed before its destination was checked")
+
+    monkeypatch.setattr(cli, "refine_to_fixpoint", wasted)
+    monkeypatch.setattr(cli, "random_graph", wasted)
     adir = tmp_path / "adir"
     (adir / "kept").mkdir(parents=True)
     assert main([arg.format(p5=p5, out=adir) for arg in command]) == 2
@@ -471,6 +479,17 @@ def test_a_dot_path_that_cannot_be_written_leaves_the_trace_as_it_was(tmp_path, 
     assert main(["refine", p5, "--dot", str(afile / "x.dot")]) == 2
     assert capsys.readouterr().err == f"error: {afile / 'x.dot'}: {afile} is not a directory\n"
     assert trace.read_text() == "old trace\n"
+
+
+def test_a_refused_output_makes_no_directory(tmp_path, capsys, p5):
+    # the trace's destination is checked first and would be made, but the
+    # DOT path under a regular file stops the command before anything is
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    trace = tmp_path / "new" / "x.trace"
+    assert main(["refine", p5, "--trace", str(trace), "--dot", str(afile / "x.dot")]) == 2
+    assert capsys.readouterr().err == f"error: {afile / 'x.dot'}: {afile} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "p5.edges"]
 
 
 def test_write_atomic_leaves_nothing_when_the_writer_fails(tmp_path):

@@ -1,7 +1,8 @@
 import random
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -262,14 +263,15 @@ def test_runs_that_move_many_vertices_take_block_steps_only(monkeypatch, name):
 
 def test_a_cycling_run_rekeys_to_its_cap(monkeypatch):
     # the gadget's classes swap at every step and the path refines beside
-    # it, so the run re-keys until its coloring first repeats, and its trace
-    # reaches the cap of n + 2 = 308 steps
+    # it, so the run re-keys through all n + 2 = 308 steps of the cap, the
+    # steps past its first exact repeat too, which refine_to_fixpoint fills
+    # in from its last two colorings without stepping
     g, start = gadget_and_path(300)
     blocks = block_steps(monkeypatch)
-    t = refine_to_fixpoint(g, start)
-    assert t.converged_at is None and len(t.colorings) == 309
+    run = tuple(islice(refine._run(g, start), 308))
     assert len(blocks) <= 5
-    assert t.colorings == stepped_run(g, start)
+    t = refine_to_fixpoint(g, start)
+    assert t.converged_at is None and t.colorings == (start, *run) == stepped_run(g, start)
 
 
 @pytest.mark.parametrize("n, edges, marked", [
@@ -317,10 +319,13 @@ def test_a_rekeying_step_re_places_few_classes(monkeypatch, name):
         path = [(v, v + 1) for v in range(6, 405)]
         g = new_graph(510, GADGET_EDGES + path + [(406, 408), (407, 409)])
         start = coloring_from_labels(GADGET_START + [3] * 400 + [0, 1, 0, 0] + [0] * 100)
+    # the run is stepped as far as its trace reaches: to the cap when it
+    # cycles, past the first exact repeat that ends refine_to_fixpoint's steps
+    steps = len(refine_to_fixpoint(g, start).colorings) - 1
     blocks = block_steps(monkeypatch)
     placed = re_placed_classes(monkeypatch)
-    t = refine_to_fixpoint(g, start)
-    rekeying = len(t.colorings) - 1 - len(blocks)
+    deque(islice(refine._run(g, start), steps), 0)
+    rekeying = steps - len(blocks)
     assert rekeying >= 400
     assert len(placed) <= 10 * rekeying
 
@@ -395,6 +400,38 @@ def test_a_run_computes_no_step_past_its_destiny(monkeypatch, name):
         assert len(steps) == exact_repeat(t.colorings) <= 10
     else:
         assert t.converged_at == len(steps) == 400
+    assert t.colorings == stepped_run(g, start)
+
+
+def hand_overs(monkeypatch):
+    # a list that gains K, the class count, for each hand-over to re-keying
+    # (a Counter of the sizes of the classes) from here on
+    sizes = []
+    counter = refine.Counter
+
+    def counted(colors):
+        size = counter(colors)
+        sizes.append(len(size))
+        return size
+
+    monkeypatch.setattr(refine, "Counter", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["cycling tree", "paired path"])
+def test_a_run_re_keys_only_where_it_pays(monkeypatch, name):
+    # On these two runs a block step is the cheaper kind. A hand-over builds
+    # all K classes, and each re-placed class costs a binary search over
+    # the order; counted together they stay within 3 per computed step.
+    # Priced by moved vertices alone, the run handed over on the tree at
+    # K = 423 and re-placed 811 classes in 7 steps, and on the path it
+    # handed over again after most of its 332 block steps.
+    g, start = random_tree(500, 1) if name == "cycling tree" else paired_path(400)
+    steps = computed_steps(monkeypatch)
+    placed = re_placed_classes(monkeypatch)
+    built = hand_overs(monkeypatch)
+    t = refine_to_fixpoint(g, start)
+    assert len(placed) + sum(built) <= 3 * len(steps)
     assert t.colorings == stepped_run(g, start)
 
 
