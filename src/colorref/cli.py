@@ -271,6 +271,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # such as a cycling run's trace padded to a huge --max-iters
+        print("error: too large to hold in memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -20,15 +20,15 @@ Coloring file
 Every parser, ``parse_trace`` too, takes the text or a text stream and
 reads it once, a chunk at a time, through one line reader (a str is read
 as slices). The edge-list, DIMACS and coloring parsers give it a hook
-that takes a piece of a chunk whole when every line is in the parser's
-plain shape, ``u v`` or DIMACS ``e u v`` with fields of at most 18 ASCII
-digits, one space apart, and "\n" at the end, and passes the parser's
-line checks; every other piece is read a line at a time, which gives
-every message and line number. Every edge reader, the trace's
-``edge_color`` records included, hands its checked edge ends to
-``graph._from_ends``, the one builder of a Graph from edge ends, which
-``new_graph`` uses too; every edge writer walks the pairs of
-``Graph.edges()`` through ``Graph._pairs()``, with no list.
+that takes a chunk whole when every line is in the parser's plain shape,
+``u v`` or DIMACS ``e u v`` with fields of at most 18 ASCII digits, one
+space apart, and "\n" at the end, and passes the parser's line checks;
+every other chunk is read a line at a time, which gives every message and
+line number. Every edge reader, the trace's ``edge_color`` records
+included, hands its checked edge ends to ``graph._from_ends``, the one
+builder of a Graph from edge ends, which ``new_graph`` uses too; every
+edge writer walks the pairs of ``Graph.edges()`` through
+``Graph._pairs()``, with no list.
 
 Every emitter takes a text stream ``out`` last, writes its lines into it as
 it builds them and returns None, so no output has to be held in memory
@@ -61,8 +61,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Characters per read of a text stream: bounds the text held at once.
-_CHUNK = 1 << 14
+# Characters per read of a text stream: bounds the text, and so the
+# lines, fields and ints, held at once.
+_CHUNK = 1 << 12
 
 
 def _blocks(source: str | io.TextIOBase):
@@ -70,8 +71,8 @@ def _blocks(source: str | io.TextIOBase):
     # at a time (a str gives its slices) and cut just after the last "\n"
     # of each read, so each block but the last ends with one. A "\n" is a
     # line break for splitlines too and never splits a "\r\n", so the lines
-    # of the blocks, or of pieces cut from them at a "\n", and their numbers
-    # are exactly those of the whole text's splitlines().
+    # of the blocks and their numbers are exactly those of the whole text's
+    # splitlines().
     if isinstance(source, str):
         reads = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
     else:
@@ -89,14 +90,10 @@ def _blocks(source: str | io.TextIOBase):
         yield last
 
 
-# Characters per piece of a block: bounds the lines, fields and ints held
-# at once.
-_PIECE = 1 << 12
-
 # The plain shapes: lines of two fields, after an "e" in DIMACS, of 1 to 18
 # ASCII digits (below 2**63), one space apart, each ending in "\n". These
-# patterns find in "\n" + piece a "\n", other than the last, that starts no
-# such line; a piece is plain when they find none. A search holds no memory
+# patterns find in "\n" + block a "\n", other than the last, that starts no
+# such line; a block is plain when they find none. A search holds no memory
 # per line, where a full match of repeated lines holds about 18 bytes per
 # character.
 _NOT_PAIRS = re.compile(r"\n(?!\Z)(?![0-9]{1,18} [0-9]{1,18}\n)")
@@ -112,16 +109,15 @@ def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
     """Yield ``(line number, fields, to_int)`` of each line that is neither
     blank nor a comment.
 
-    Each block is cut at a "\n" into pieces of about _PIECE characters.
-    The parser's hook ``plain``, if any, gets each piece and the number of
-    its first line. It takes the piece's lines and returns True only for a
-    piece in the parser's plain shape that passes the parser's line checks;
-    the lines of every other piece are yielded. A line holding a character
-    U+DC80 .. U+DCFF, which ``errors="surrogateescape"`` reads an invalid
-    UTF-8 byte as, raises the ParseError that names its line, comment or
-    not.
+    The parser's hook ``plain``, if any, gets each block of ``_blocks``
+    and the number of its first line. It takes the block's lines and
+    returns True only for a block in the parser's plain shape that passes
+    the parser's line checks; the lines of every other block are yielded.
+    A line holding a character U+DC80 .. U+DCFF, which
+    ``errors="surrogateescape"`` reads an invalid UTF-8 byte as, raises the
+    ParseError that names its line, comment or not.
 
-    ``to_int`` is the token converter for the piece the line came in:
+    ``to_int`` is the token converter for the block the line came in:
     ``int`` itself where it is exact. On a whitespace-free token int()
     accepts more than [+-]?[0-9]+ only through "_" separators and non-ASCII
     digits, so on ASCII text without "_" it is exact. Callers convert with
@@ -130,25 +126,20 @@ def _content_lines(source: str | io.TextIOBase, comment: str, plain=None):
     """
     first = 1
     for block in _blocks(source):
-        start = 0
-        while start < len(block):
-            end = block.find("\n", start + _PIECE) + 1 or len(block)
-            piece = block[start:end]
-            start = end
-            if plain is not None and plain(piece, first):
-                first += piece.count("\n")  # a plain piece's only line break
-                continue
-            ascii_text = piece.isascii()
-            to_int = int if ascii_text and "_" not in piece else _strict_int
-            lines = piece.splitlines()
-            for lineno, raw in enumerate(lines, first):
-                if not ascii_text and (bad := _UNDECODED.search(raw)):
-                    byte = ord(bad.group()) - 0xDC00
-                    raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", lineno)
-                parts = raw.split()
-                if parts and not parts[0].startswith(comment):
-                    yield lineno, parts, to_int
-            first += len(lines)
+        if plain is not None and plain(block, first):
+            first += block.count("\n")  # a plain block's only line break
+            continue
+        ascii_text = block.isascii()
+        to_int = int if ascii_text and "_" not in block else _strict_int
+        lines = block.splitlines()
+        for lineno, raw in enumerate(lines, first):
+            if not ascii_text and (bad := _UNDECODED.search(raw)):
+                byte = ord(bad.group()) - 0xDC00
+                raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", lineno)
+            parts = raw.split()
+            if parts and not parts[0].startswith(comment):
+                yield lineno, parts, to_int
+        first += len(lines)
 
 
 def _strict_int(token: str) -> int:

@@ -236,3 +236,30 @@ def test_benchmark_wraps_only_names_the_cli_has(monkeypatch):
     spec.loader.exec_module(bench)
     missing = [name for name in bench.CLI_CALLS if not hasattr(colorref.cli, name)]
     assert bench.CLI_CALLS and missing == []
+
+
+# What the README's "Library quick start" shows in its comments, by the
+# expression each comment follows.
+QUICK_START_SHOWS = {
+    "trace.palette_sizes": (1, 2, 3, 3),
+    "trace.converged_at": 3,
+    "cr.partition_of(trace.final)": ((0, 4), (1, 3), (2,)),
+    "cr.find_inequitable_pair(g, trace.final)": None,
+    "cr.colorings_isomorphic(trace.colorings[2], trace.final)": (0, 1, 2),
+}
+
+
+def test_the_readme_quick_start_shows_what_it_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out == "n 5\n0 1\n1 2\n2 3\n3 4\n"
+    shown = dict(line.split("#", 1) for line in block.splitlines() if "#" in line)
+    shown = {code.strip(): comment.strip() for code, comment in shown.items()}
+    assert shown["cr.emit_edge_list(g, sys.stdout)"].startswith(
+        '"n 5\\n0 1\\n1 2\\n2 3\\n3 4\\n"; returns None'
+    )
+    for code, value in QUICK_START_SHOWS.items():
+        assert shown[code].startswith(repr(value)), code
+        assert eval(code, namespace) == value, code

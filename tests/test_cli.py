@@ -425,6 +425,56 @@ def test_a_count_too_large_for_memory_exits_2_naming_the_file(tmp_path, name, te
     assert proc.stderr == f"error: {path}: too large to hold in memory\n"
 
 
+# The same in process: a list of sys.maxsize slots is refused before
+# anything is allocated, so no memory limit is needed.
+@pytest.mark.parametrize("name, text", [
+    ("huge.edges", f"n {sys.maxsize}\n0 1\n"),
+    ("huge.col", f"p edge {sys.maxsize} 1\ne 1 2\n"),
+])
+@pytest.mark.parametrize("command", ["refine", "verify"])
+def test_a_count_too_large_for_memory_is_named_in_process(tmp_path, capsys, name, text, command):
+    path = write(tmp_path / name, text)
+    args = [path, write(tmp_path / "one.colors", "0 0\n")] if command == "verify" else [path]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: too large to hold in memory\n")
+    assert not (tmp_path / f"{name}.trace").exists()
+
+
+def test_a_cap_too_large_for_memory_exits_2(tmp_path):
+    # the README's 2-cycle pads its trace with one entry per step up to the
+    # cap, which no memory holds; under a limit an allocation fails within
+    # a few seconds
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    graph = write(tmp_path / "cycle.edges", "0 2\n1 3\n")
+    start = write(tmp_path / "cycle.colors", "0 0\n1 1\n2 0\n3 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorref", "refine", graph, "--coloring", start,
+         "--max-iters", "100000000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: too large to hold in memory\n"
+    assert not (tmp_path / "cycle.edges.trace").exists()
+
+
+def test_memory_running_out_in_a_command_exits_2(tmp_path, capsys, monkeypatch, p5):
+    # the clause the test above reaches in a child, here in process
+    def refine_to_fixpoint(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "refine_to_fixpoint", refine_to_fixpoint)
+    assert main(["refine", p5]) == 2
+    assert capsys.readouterr() == ("", "error: too large to hold in memory\n")
+    assert not (tmp_path / "p5.edges.trace").exists()
+
+
 def test_output_goes_into_directories_that_do_not_exist_yet(tmp_path, capsys, p5):
     trace = tmp_path / "runs" / "p5" / "out.trace"
     assert main(["refine", p5, "--trace", str(trace)]) == 0

@@ -563,12 +563,12 @@ def mostly_plain_texts(draw, name):
     return text if draw(st.booleans()) else text[:-1]  # a last line without "\n"
 
 
-# Whatever mixes of blocks and pieces take the block path, each parser
-# gives the value, or the exact error and line, of its line loop alone.
+# Whatever mixes of blocks take the block path, each parser gives the
+# value, or the exact error and line, of its line loop alone.
 @pytest.mark.parametrize("name", ["coloring", "dimacs", "edge_list"])
-@given(data=st.data(), chunk=st.integers(1, 64), piece=st.integers(1, 32))
+@given(data=st.data(), chunk=st.integers(1, 64))
 @settings(max_examples=200, deadline=None)
-def test_the_block_path_gives_what_the_line_loop_gives(name, data, chunk, piece):
+def test_the_block_path_gives_what_the_line_loop_gives(name, data, chunk):
     text = data.draw(mostly_plain_texts(name), label="text")
     parse = {"dimacs": parse_dimacs, "edge_list": parse_edge_list}.get(name)
     if parse is None:
@@ -576,7 +576,6 @@ def test_the_block_path_gives_what_the_line_loop_gives(name, data, chunk, piece)
         parse = partial(parse_coloring, vertex_count=count)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_CHUNK", chunk)
-        mp.setattr(formats, "_PIECE", piece)
         got = parse_outcome(parse, io.StringIO(text))
     assert got == line_loop_outcome(parse, text)
 
