@@ -96,15 +96,18 @@ def _load_graph(path: str, fmt: str | None):
 
 
 def _cmd_refine(args) -> int:
+    max_iters = args.max_iters
+    if max_iters is not None and max_iters < 1:
+        raise ValueError("--max-iters must be at least 1")
+    if max_iters is not None and max_iters > sys.maxsize:
+        # refused before the graph is read: no trace holds more colorings
+        raise ValueError(f"--max-iters must be at most {sys.maxsize}")
     g = _load_graph(args.graph, args.format)
     target = expand_edges(g) if args.expand_edges else g
     if args.coloring is not None:
         initial = _load(args.coloring, parse_coloring, target.vertex_count)
     else:
         initial = zero_coloring(target)
-    max_iters = args.max_iters
-    if max_iters is not None and max_iters < 1:
-        raise ValueError("--max-iters must be at least 1")
     trace_path = Path(args.trace) if args.trace else Path(args.graph + ".trace")
     # both destinations are checked before the run, and a check makes no
     # directory, so a bad DOT path leaves the trace and its directory unmade

@@ -53,6 +53,7 @@ or dirties too many classes. ``_rekeys`` decides; it changes only the cost.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
@@ -213,6 +214,9 @@ def refine_to_fixpoint(
         max_iters = g.vertex_count + 2
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if max_iters > sys.maxsize:
+        # no trace holds more colorings, and islice takes no larger stop
+        raise ValueError(f"max_iters must be at most {sys.maxsize}")
     colorings, stopped = [initial], None
     for t, nxt in enumerate(islice(_run(g, initial), max_iters), 1):
         colorings.append(nxt)

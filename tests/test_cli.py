@@ -74,6 +74,21 @@ def test_refine_rejects_max_iters_below_one(tmp_path, capsys, p5, cap):
     assert not trace.exists()
 
 
+def test_refine_takes_max_iters_up_to_sys_maxsize(tmp_path, capsys, p5):
+    # no trace holds more colorings than sys.maxsize, so a larger cap is
+    # refused before the graph is read: a missing graph goes unreported
+    trace = tmp_path / "out.trace"
+    refused = f"error: --max-iters must be at most {sys.maxsize}\n"
+    for graph in (p5, str(tmp_path / "missing.edges")):
+        assert main(["refine", graph, "--max-iters", str(sys.maxsize + 1),
+                     "--trace", str(trace)]) == 2
+        assert capsys.readouterr() == ("", refused)
+        assert not trace.exists()
+    assert main(["refine", p5, "--max-iters", str(sys.maxsize), "--trace", str(trace)]) == 0
+    assert capsys.readouterr() == ("n=5 m=4 K_final=3 converged_at=3\n", "")
+    assert trace.read_text().splitlines()[0].endswith(f" max_iters={sys.maxsize}")
+
+
 def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     c3 = write(tmp_path / "c3.edges", "0 1\n1 2\n0 2\n")
     trace = tmp_path / "c3.trace"
@@ -440,28 +455,46 @@ def test_a_count_too_large_for_memory_is_named_in_process(tmp_path, capsys, name
     assert not (tmp_path / f"{name}.trace").exists()
 
 
-def test_a_cap_too_large_for_memory_exits_2(tmp_path):
-    # the README's 2-cycle pads its trace with one entry per step up to the
-    # cap, which no memory holds; under a limit an allocation fails within
-    # a few seconds
+# refine's input file: its text, and the start it cycles from, if any
+TOO_LARGE = {
+    # the README's 2-cycle pads its trace with one entry per step up to a
+    # cap that no memory holds
+    "cycle.edges": ("0 2\n1 3\n", "0 0\n1 1\n2 0\n3 0\n"),
+    # a count near 10**9 asks for its degree slots and offsets, about 8 to
+    # 12 GB, before an edge is placed
+    "end.edges": ("0 999999999\n", None),
+    "header.edges": ("n 999999999\n0 1\n", None),
+    "big.col": ("p edge 999999999 0\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE))
+def test_a_cap_too_large_for_memory_exits_2(tmp_path, name):
+    # under a limit an allocation fails within a few seconds; never run
+    # these inputs without one
     resource = pytest.importorskip("resource")
     cap = 256 << 20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    graph = write(tmp_path / "cycle.edges", "0 2\n1 3\n")
-    start = write(tmp_path / "cycle.colors", "0 0\n1 1\n2 0\n3 0\n")
+    text, start = TOO_LARGE[name]
+    graph = write(tmp_path / name, text)
+    options = []
+    if start is not None:
+        options = ["--coloring", write(tmp_path / "cycle.colors", start),
+                   "--max-iters", "100000000000"]
     proc = subprocess.run(
-        [sys.executable, "-m", "colorref", "refine", graph, "--coloring", start,
-         "--max-iters", "100000000000"],
+        [sys.executable, "-m", "colorref", "refine", graph, *options],
         capture_output=True,
         text=True,
         preexec_fn=cap_memory,
     )
+    # a count fails while its file is read, which the message names
+    named = f"{graph}: " if start is None else ""
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: too large to hold in memory\n"
-    assert not (tmp_path / "cycle.edges.trace").exists()
+    assert proc.stderr == f"error: {named}too large to hold in memory\n"
+    assert not (tmp_path / f"{name}.trace").exists()
 
 
 def test_memory_running_out_in_a_command_exits_2(tmp_path, capsys, monkeypatch, p5):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from colorref import Graph, expand_edges, graph, new_graph, random_graph
+from colorref import Graph, expand_edges, graph, new_graph, parse_dimacs, random_graph
 from colorref.cli import main
 from conftest import complete_graph, cycle_graph, path_graph, peak_bytes, star_graph, torus_graph
 
@@ -34,6 +34,49 @@ def test_edge_order_and_orientation_do_not_matter():
     assert a == b
 
 
+def test_rows_are_sorted_only_when_some_row_is_not(monkeypatch):
+    # the ends are placed in edge order, so sorted edges, counted from 0 or
+    # from 1 as in DIMACS, give strictly increasing rows with no sort; a row
+    # that ends above the next row's start is no reason to sort
+    rows = []
+
+    def spy(row):
+        rows.append(row)
+        return sorted(row)
+
+    monkeypatch.setattr(graph, "sorted", spy, raising=False)
+    g = new_graph(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
+    h = parse_dimacs("p edge 5 5\ne 1 2\ne 1 5\ne 2 3\ne 3 4\ne 4 5\n")
+    assert rows == [] and g == h
+    assert g.adjacency == ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))
+    assert new_graph(5, [(1, 2), (0, 1), (3, 4), (2, 3), (0, 4)]) == g
+    assert len(rows) == 5
+
+
+def test_building_holds_little_beyond_its_result():
+    # the degree list is dropped once the offsets are summed from it, before
+    # the targets column is made: on P_20000, about 1.2 times the result's
+    # columns, and about 1.85 times with the list kept to the end
+    n = 20_000
+    ends = [end for v in range(n - 1) for end in (v, v + 1)]
+    g = graph._from_ends(n, ends)
+    size = sum(len(col) * col.itemsize for col in (g.offsets, g.targets))
+    assert peak_bytes(graph._from_ends, n, ends) < 1.5 * size
+
+
+def test_built_columns_widen_exactly_where_their_values_stop_fitting(monkeypatch):
+    # ids up to n - 1 = 3, offsets up to 2m = 6, from sorted edges and
+    # through the sort
+    for limit in range(9):
+        # _typecode's 31-bit limit, lowered so that this small graph crosses it
+        monkeypatch.setattr(graph, "_typecode", lambda top: "i" if top < limit else "q")
+        for edges in ([(0, 1), (1, 2), (2, 3)], [(2, 3), (1, 2), (0, 1)]):
+            g = new_graph(4, edges)
+            assert g.adjacency == ((1,), (0, 2), (1, 3), (2,))
+            assert g.targets.typecode == ("i" if 3 < limit else "q")
+            assert g.offsets.typecode == ("i" if 6 < limit else "q")
+
+
 def test_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         new_graph(3, [(1, 1)])
@@ -44,6 +87,15 @@ def test_rejects_out_of_range_ids():
         new_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         new_graph(3, [(-1, 0)])
+
+
+def test_rejects_the_first_bad_edge_and_names_the_smallest_loop():
+    # the first id at the vertex count is out of range too
+    with pytest.raises(ValueError, match=r"^edge \(3, 0\) outside 0\.\.2$"):
+        new_graph(3, [(3, 0)])
+    # the smallest vertex with a self-loop, not the smallest id
+    with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+        new_graph(4, [(0, 1), (3, 3), (2, 2)])
 
 
 def test_rejects_negative_vertex_count():

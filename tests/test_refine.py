@@ -1,4 +1,5 @@
 import random
+import sys
 from array import array
 from collections import Counter, deque
 from fractions import Fraction
@@ -451,6 +452,15 @@ def test_a_run_checks_its_arguments():
         refine_to_fixpoint(g, coloring_from_labels([0, 0]))
     with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
         refine_to_fixpoint(g, zero_coloring(g), max_iters=0)
+
+
+def test_a_run_refuses_a_cap_above_sys_maxsize():
+    # islice takes no larger stop, and no trace holds more colorings; the
+    # largest cap is taken from a start that converges
+    g = path_graph(5)
+    with pytest.raises(ValueError, match=f"^max_iters must be at most {sys.maxsize}$"):
+        refine_to_fixpoint(g, zero_coloring(g), max_iters=sys.maxsize + 1)
+    assert refine_to_fixpoint(g, zero_coloring(g), max_iters=sys.maxsize).converged_at == 3
 
 
 def test_fixpoint_complete_graph():
