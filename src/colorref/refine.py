@@ -282,7 +282,8 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
         yield c
         k = c.palette_size
         # a refining step moves about |K - K_prev| * n / K vertices; a first
-        # re-keying step re-places all K classes
+        # re-keying step re-places all K classes, and its own test falls
+        # back to a block step where this estimate errs
         if not _rekeys(abs(k - prev.palette_size) * n / (k or 1) + k, k, n):
             continue
         # Hand-over: the previous colors serve as the ids of the previous classes.
@@ -301,8 +302,6 @@ def _run(g: Graph, c: Coloring) -> Iterator[Coloring]:
             taken.add(i)
         ids = list(map(id_of.__getitem__, cur))
         moved = list(compress(range(n), map(ne, ids, p)))  # id is not the previous color
-        if not _rekeys(len(moved), k, n):
-            continue
         at = p.__getitem__
         key_of = {id_of[x]: tuple(sorted(map(at, targets[offsets[v]:offsets[v + 1]])))
                   for x, v in first.items()}

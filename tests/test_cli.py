@@ -1,3 +1,4 @@
+import io
 import os
 import stat
 import subprocess
@@ -6,7 +7,8 @@ import tempfile
 
 import pytest
 
-from colorref import Graph, parse_edge_list, parse_trace, partition_of
+from colorref import (Graph, emit_trace_document, expand_edges, parse_edge_list, parse_trace,
+                      partition_of, refine_to_fixpoint, trace_document, zero_coloring)
 from colorref import cli
 from colorref.cli import _write_atomic, main
 from colorref.formats import _CHUNK
@@ -99,8 +101,18 @@ def test_refine_expand_edges_reports_edge_colors(tmp_path, capsys):
     # the middle edge of a four-path is told apart from the two end edges
     p4 = write(tmp_path / "p4.edges", "0 1\n1 2\n2 3\n")
     assert main(["refine", p4, "--expand-edges", "--trace", str(trace)]) == 0
-    doc = parse_trace(trace.read_text())
+    header, text = trace.read_text().split("\n", 1)
+    doc = parse_trace(text)
     assert edge_colors(doc) == ((0, 1, 3), (1, 2, 2), (2, 3, 3))
+    # the trace gives back the graph that was read, and after its header
+    # line it is the library's document of the expanded run
+    g = parse_edge_list("0 1\n1 2\n2 3\n")
+    assert doc.original == g
+    x = expand_edges(g)
+    out = io.StringIO()
+    emit_trace_document(trace_document(refine_to_fixpoint(x, zero_coloring(x)), g,
+                                       expanded=True), out)
+    assert header.startswith("#") and out.getvalue() == text
 
 
 def test_refine_expand_edges_on_a_graph_without_edges(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 from array import array
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from colorref import (
@@ -281,6 +282,23 @@ def test_a_run_is_refine_step_iterated_whichever_steps_it_takes(run, rnd):
     assert trace.colorings == stepped_run(g, start, cap)
 
 
+@given(st.data(), st.lists(st.integers(1, 4), max_size=12))
+def test_the_runs_left_in_place_are_a_heaviest_chain(data, sizes):
+    # the runs _off_run does not return keep their old order, and no runs
+    # in increasing old places weigh more: a quadratic reference
+    places = data.draw(st.lists(st.integers(0, 40), min_size=len(sizes),
+                                max_size=len(sizes), unique=True))
+    runs = [(x, w, j) for j, (x, w) in enumerate(zip(places, sizes))]
+    off = refine._off_run(runs)
+    kept = [run for run in runs if run not in off]
+    assert off == [run for run in runs if run in off]
+    assert [x for x, _, _ in kept] == sorted(x for x, _, _ in kept)
+    heaviest = []  # the weight of the heaviest chain that ends at each run
+    for x, w, j in runs:
+        heaviest.append(w + max((heaviest[i] for i in range(j) if runs[i][0] < x), default=0))
+    assert sum(w for _, w, _ in kept) == max(heaviest, default=0)
+
+
 @given(graphs_with_colorings())
 def test_refine_step_output_is_compact_and_deterministic(gc):
     g, c = gc
@@ -488,12 +506,38 @@ FUZZ_PARSERS = {
 }
 
 
+@st.composite
+def raw_texts(draw, keys):
+    # a fuzz text, or none, with raw bytes spliced in at one place, decoded
+    # as the CLI decodes a file; no run of more than four ASCII digits, so
+    # no input can declare a large vertex count
+    data = draw(st.one_of(st.just(""), fuzz_texts(keys))).encode()
+    at = draw(st.integers(0, len(data)))
+    data = data[:at] + draw(st.binary(max_size=24)) + data[at:]
+    text = data.decode("utf-8", errors="surrogateescape")
+    assume(not re.search("[0-9]{5}", text))
+    return text
+
+
+# The messages of the faults that no one line holds: the README lists them
+NO_LINE = re.compile(
+    r"missing problem line"
+    r"|missing assignment for vertex \d+"
+    r"|vertex id \d+ outside 0\.\.-?\d+ \(\d+ assignments\)"
+    r"|missing graph summary \(n/m records\)"
+    r"|missing initial, palette_sizes, or converged_at record"
+    r"|first coloring record must repeat the initial coloring"
+    r"|palette_sizes must list one size per coloring"
+    r"|classes are not the final coloring's partition"
+)
+
+
 @pytest.mark.parametrize("name", sorted(FUZZ_PARSERS))
-@given(data=st.data())
+@given(data=st.data(), raw=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
+def test_parsers_give_a_valid_value_or_a_parse_error(name, data, raw):
     parse, comment, keys = FUZZ_PARSERS[name]
-    text = data.draw(fuzz_texts(keys), label="text")
+    text = data.draw(raw_texts(keys) if raw else fuzz_texts(keys), label="text")
     got = parse_outcome(parse, text)
     if isinstance(got, Graph):
         assert Graph(got.vertex_count, got.adjacency) == got
@@ -502,7 +546,8 @@ def test_parsers_give_a_valid_value_or_a_parse_error(name, data):
     elif isinstance(got, TraceDocument):
         assert parse_trace(emitted(got)) == got
     else:
-        assert got.startswith("ParseError: ")
+        assert re.fullmatch(r"ParseError: line [1-9]\d*: .+", got, re.S) or NO_LINE.fullmatch(
+            got.removeprefix("ParseError: ")), got
     # a "_" anywhere sends every token through the strict check, which
     # must read the text as int() did
     assert parse_outcome(parse, f"{text}\n{comment} _\n") == got

@@ -3,7 +3,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
 
@@ -325,10 +325,23 @@ def test_a_rekeying_step_re_places_few_classes(monkeypatch, name):
     steps = len(refine_to_fixpoint(g, start).colorings) - 1
     blocks = block_steps(monkeypatch)
     placed = re_placed_classes(monkeypatch)
+    calls, sorts = [], []
+    off_run = refine._off_run
+    monkeypatch.setattr(refine, "_off_run", lambda runs: calls.append(runs) or off_run(runs))
+    monkeypatch.setattr(refine, "sorted", lambda *args, **kwargs: sorts.append(None)
+                        or sorted(*args, **kwargs), raising=False)
     deque(islice(refine._run(g, start), steps), 0)
     rekeying = steps - len(blocks)
     assert rekeying >= 400
     assert len(placed) <= 10 * rekeying
+    # each run is a stretch of the new order after the run before it; the
+    # clean classes between two cuts go as one run, so the chain search
+    # sees about one run per re-placed class, not one per class
+    assert all(x + w <= y for runs in calls for (_, w, x), (_, _, y) in pairwise(runs))
+    assert sum(map(len, calls)) <= 2 * len(placed)
+    # a step sorts the keys of the vertices next to a moved one and of the
+    # classes it re-places (28 to 77 a step here), not a key per vertex
+    assert len(sorts) <= 200 * steps
 
 
 @pytest.mark.parametrize("name", ["path", "gadget and path", "two-cycle"])
@@ -434,6 +447,27 @@ def test_a_run_re_keys_only_where_it_pays(monkeypatch, name):
     t = refine_to_fixpoint(g, start)
     assert len(placed) + sum(built) <= 3 * len(steps)
     assert t.colorings == stepped_run(g, start)
+
+
+def test_a_run_goes_back_to_block_steps_where_many_classes_are_dirty(monkeypatch):
+    # A chord that closes a 5-cycle on P_400. From the all-equal start,
+    # few vertices move per step, but many re-keying steps would re-place
+    # many dirty classes, so 113 of the 158 steps are block steps. Priced
+    # by its moved vertices alone, the run re-placed 15 276 classes in
+    # these steps, about 97 a step; it re-places about 9.
+    g = new_graph(400, [(v, v + 1) for v in range(399)] + [(81, 85)])
+    steps = computed_steps(monkeypatch)
+    placed = re_placed_classes(monkeypatch)
+    t = refine_to_fixpoint(g, zero_coloring(g))
+    assert len(placed) <= 20 * len(steps)
+    assert t.colorings == stepped_run(g, zero_coloring(g))
+
+
+def test_a_rekeying_step_is_priced_at_four_a_unit_plus_k():
+    # a re-keying step pays 4 per moved vertex or re-placed class plus one
+    # per class, and is taken only where that stays below a block step's n
+    assert refine._rekeys(2, 1, 10) and not refine._rekeys(2, 2, 10)
+    assert refine._rekeys(0, 9, 10) and not refine._rekeys(0, 10, 10)
 
 
 @pytest.mark.parametrize("n", [8, 40, 100])
