@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -60,6 +61,24 @@ def gadget_and_path(length):
     # path refines one pair of classes per step while the gadget cycles
     edges = GADGET_EDGES + [(v, v + 1) for v in range(6, 5 + length)]
     return new_graph(6 + length, edges), coloring_from_labels(GADGET_START + [3] * length)
+
+
+def gadget_path_and_two_cycle(length):
+    # gadget_and_path beside the 2-cycle {a, a + 2}, {a + 1, a + 3} from
+    # (0, 1, 0, 0) and 100 isolated vertices, a = 6 + length: two
+    # components swap classes at every step while the path refines
+    g, start = gadget_and_path(length)
+    a = g.vertex_count
+    edges = [*g.edges(), (a, a + 2), (a + 1, a + 3)]
+    labels = start.colors + (0, 1, 0, 0) + (0,) * 100
+    return new_graph(a + 104, edges), coloring_from_labels(labels)
+
+
+def random_tree(n, seed):
+    # a random tree from a random 3-class start
+    rng = random.Random(seed)
+    g = new_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+    return g, coloring_from_labels([rng.randrange(3) for _ in range(n)])
 
 
 def stepped_run(g, start, max_iters=None):

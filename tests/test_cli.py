@@ -7,12 +7,14 @@ import tempfile
 
 import pytest
 
-from colorref import (Graph, emit_trace_document, expand_edges, parse_edge_list, parse_trace,
+from colorref import (Graph, RefinementTrace, emit_coloring, emit_edge_list,
+                      emit_trace_document, expand_edges, parse_edge_list, parse_trace,
                       partition_of, refine_to_fixpoint, trace_document, zero_coloring)
 from colorref import cli
 from colorref.cli import _write_atomic, main
 from colorref.formats import _CHUNK
-from conftest import HUGE, edge_colors
+from conftest import (edge_colors, emitted, gadget_and_path, gadget_path_and_two_cycle,
+                      path_graph, random_tree, stepped_run, written)
 
 
 def write(path, text):
@@ -65,6 +67,40 @@ def test_refine_exit_3_when_cap_hit(tmp_path, capsys):
                  "--trace", str(tmp_path / "t")])
     assert code == 3
     assert "converged_at=none" in capsys.readouterr().out
+
+
+# Long inputs at full size, each with its start (None: all-equal) and
+# refine's exit code. A long path in vertex order, the cycling gadget beside
+# P_2000, and that beside a 2-cycle and isolated vertices, where two
+# components swap classes at every step while the path refines, take
+# re-keying steps; the random tree's run ends in a 2-cycle that the run
+# stops stepping at its first repeat.
+LONG_INPUTS = {
+    "path": (lambda: (path_graph(3000), None), 0),
+    "gadget": (lambda: gadget_and_path(2000), 3),
+    "union": (lambda: gadget_path_and_two_cycle(2000), 3),
+    "tree": (lambda: random_tree(1000, 5), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_INPUTS))
+def test_long_runs_write_the_trace_of_refine_step_iterated(tmp_path, name):
+    build, code = LONG_INPUTS[name]
+    g, start = build()
+    graph = write(tmp_path / f"{name}.edges", written(emit_edge_list, g))
+    trace = tmp_path / f"{name}.trace"
+    options = []
+    if start is None:
+        start = zero_coloring(g)
+    else:
+        options = ["--coloring", write(tmp_path / f"{name}.colors", written(emit_coloring, start))]
+    assert main(["refine", graph, *options, "--trace", str(trace)]) == code
+    header, text = trace.read_text().split("\n", 1)
+    assert header.startswith("#")
+    want = emitted(trace_document(RefinementTrace(stepped_run(g, start)), g))
+    if text != want:  # pytest's diff of two traces of megabytes takes minutes
+        line = os.path.commonprefix([text, want]).count("\n") + 2
+        pytest.fail(f"the trace differs from the loop's from line {line} on")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -398,62 +434,8 @@ def test_cli_files_name_their_encoding(tmp_path, p5):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
-# file name: its text and the line its error names
-HOSTILE_COUNTS = {
-    "big.col": ("p edge 999999999 0\nx\n", 2),
-    "huge.col": (f"p edge {HUGE} 1\ne 1 {HUGE}\nx\n", 1),
-    "huge.edges": (f"0 {HUGE}\n", 1),
-    "huge-then-bad.edges": (f"0 {HUGE}\nx y z\n", 2),
-    "header.edges": (f"n {HUGE}\n0 1\n", 1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(HOSTILE_COUNTS))
-def test_hostile_vertex_counts_exit_2_naming_the_line(tmp_path, name):
-    text, line = HOSTILE_COUNTS[name]
-    resource = pytest.importorskip("resource")
-    cap = 256 << 20
-
-    def cap_memory():
-        # a list per vertex fails at once with MemoryError, not by
-        # exhausting the host
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    path = write(tmp_path / name, text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "colorref", "refine", path, "--trace", str(tmp_path / "t")],
-        capture_output=True,
-        text=True,
-        preexec_fn=cap_memory,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {path}: line {line}: ")
-    assert proc.stderr.count("\n") == 1  # one line: no traceback
-
-
-# A count of sys.maxsize passes the parsers' checks; its first column of
-# sys.maxsize slots fails to allocate at once, and the file is named.
-@pytest.mark.parametrize(
-    "name, text, command",
-    [
-        ("max.edges", f"0 1\n0 {sys.maxsize - 1}\n", "refine"),
-        ("max.col", f"p edge {sys.maxsize} 0\n", "verify"),
-    ],
-)
-def test_a_count_too_large_for_memory_exits_2_naming_the_file(tmp_path, name, text, command):
-    path = write(tmp_path / name, text)
-    args = [path, write(tmp_path / "one.colors", "0 0\n")]
-    if command == "refine":
-        args = [path, "--trace", str(tmp_path / "t")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "colorref", command, *args], capture_output=True, text=True
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {path}: too large to hold in memory\n"
-
-
-# The same in process: a list of sys.maxsize slots is refused before
-# anything is allocated, so no memory limit is needed.
+# A count of sys.maxsize, in process: a list of sys.maxsize slots is
+# refused before anything is allocated, so no memory limit is needed.
 @pytest.mark.parametrize("name, text", [
     ("huge.edges", f"n {sys.maxsize}\n0 1\n"),
     ("huge.col", f"p edge {sys.maxsize} 1\ne 1 2\n"),
@@ -467,50 +449,9 @@ def test_a_count_too_large_for_memory_is_named_in_process(tmp_path, capsys, name
     assert not (tmp_path / f"{name}.trace").exists()
 
 
-# refine's input file: its text, and the start it cycles from, if any
-TOO_LARGE = {
-    # the README's 2-cycle pads its trace with one entry per step up to a
-    # cap that no memory holds
-    "cycle.edges": ("0 2\n1 3\n", "0 0\n1 1\n2 0\n3 0\n"),
-    # a count near 10**9 asks for its degree slots and offsets, about 8 to
-    # 12 GB, before an edge is placed
-    "end.edges": ("0 999999999\n", None),
-    "header.edges": ("n 999999999\n0 1\n", None),
-    "big.col": ("p edge 999999999 0\n", None),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TOO_LARGE))
-def test_a_cap_too_large_for_memory_exits_2(tmp_path, name):
-    # under a limit an allocation fails within a few seconds; never run
-    # these inputs without one
-    resource = pytest.importorskip("resource")
-    cap = 256 << 20
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    text, start = TOO_LARGE[name]
-    graph = write(tmp_path / name, text)
-    options = []
-    if start is not None:
-        options = ["--coloring", write(tmp_path / "cycle.colors", start),
-                   "--max-iters", "100000000000"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "colorref", "refine", graph, *options],
-        capture_output=True,
-        text=True,
-        preexec_fn=cap_memory,
-    )
-    # a count fails while its file is read, which the message names
-    named = f"{graph}: " if start is None else ""
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {named}too large to hold in memory\n"
-    assert not (tmp_path / f"{name}.trace").exists()
-
-
 def test_memory_running_out_in_a_command_exits_2(tmp_path, capsys, monkeypatch, p5):
-    # the clause the test above reaches in a child, here in process
+    # the clause that test_hostile.py's memory rows reach in a child, here
+    # in process
     def refine_to_fixpoint(*args):
         raise MemoryError
 

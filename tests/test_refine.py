@@ -28,8 +28,6 @@ from colorref import refine
 from colorref.cli import main
 from colorref.refine import _BLOCK, _portraits
 from conftest import (
-    GADGET_EDGES,
-    GADGET_START,
     brute_inequitable_pair,
     brute_portrait,
     complete_graph,
@@ -37,10 +35,13 @@ from conftest import (
     energy,
     energy_holds,
     gadget_and_path,
+    gadget_path_and_two_cycle,
     index_portraits,
     is_refinement,
+    kept_bytes,
     path_graph,
     peak_bytes,
+    random_tree,
     runs_as_iterated,
     star_graph,
     stepped_run,
@@ -224,6 +225,18 @@ def test_refine_step_holds_one_block_of_keys_at_a_time():
     assert peak_bytes(find_inequitable_pair, g, c) < block + 32 * n
 
 
+def test_a_step_holds_little_beyond_its_result():
+    # With few classes on a long path the peak comes once the keys are
+    # freed: a label per vertex beside the colors being built, and a rank
+    # table of K slots, not n. Measured on P_20000 after a first step, which
+    # fills the interpreter's free list of short tuples, on Python 3.10 to
+    # 3.13: 2.31 times the result, 3.31 with a table of n slots.
+    n = 20000
+    g, c = path_graph(n), coloring_from_labels([v % 3 == 0 for v in range(n)])
+    refine_step(g, c)
+    assert peak_bytes(refine_step, g, c) < 2.8 * kept_bytes(refine_step, g, c)
+
+
 def test_a_run_holds_each_color_once():
     # Python caches no int above 256; P_700 passes 256 colors at step 256
     g = path_graph(700)
@@ -317,9 +330,7 @@ def test_a_rekeying_step_re_places_few_classes(monkeypatch, name):
     elif name == "gadget and path":
         g, start = gadget_and_path(400)
     else:
-        path = [(v, v + 1) for v in range(6, 405)]
-        g = new_graph(510, GADGET_EDGES + path + [(406, 408), (407, 409)])
-        start = coloring_from_labels(GADGET_START + [3] * 400 + [0, 1, 0, 0] + [0] * 100)
+        g, start = gadget_path_and_two_cycle(400)
     # the run is stepped as far as its trace reaches: to the cap when it
     # cycles, past the first exact repeat that ends refine_to_fixpoint's steps
     steps = len(refine_to_fixpoint(g, start).colorings) - 1
@@ -384,13 +395,6 @@ def computed_steps(monkeypatch):
     run = refine._run
     monkeypatch.setattr(refine, "_run", lambda *args: (calls.append(None) or c for c in run(*args)))
     return calls
-
-
-def random_tree(n, seed):
-    # a random tree from a random 3-class start
-    rng = random.Random(seed)
-    g = new_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
-    return g, coloring_from_labels([rng.randrange(3) for _ in range(n)])
 
 
 def paired_path(n):
@@ -478,6 +482,49 @@ def test_the_paired_path_converges_at_step_n(n):
     t = refine_to_fixpoint(g, start)
     assert t.converged_at == n
     assert first_repeat(t.colorings) == (n, 1)
+
+
+def two_step_repeat(g, start):
+    # T, the first t with P_{t+2} = P_t, by refine_step iterated, or None
+    # if the period has not started by step 3n
+    colorings = [start, refine_step(g, start)]
+    for t in range(3 * g.vertex_count):
+        colorings.append(refine_step(g, colorings[-1]))
+        if colorings_isomorphic(colorings[t], colorings[-1]) is not None:
+            return t
+    return None
+
+
+def paired_path_family(n):
+    # P_n from the paired labels, (0011)... when 4 divides n and (0110)...
+    # otherwise, then P_n with one extra leaf (labelled 0) at any vertex,
+    # and P_n with one chord (a, a + 2); each graph from that start and
+    # from the start with any one vertex flipped
+    labels = [(v + (n % 4 != 0)) % 4 // 2 for v in range(n)]
+    path = [(v, v + 1) for v in range(n - 1)]
+    graphs = [(n, path, labels)]
+    graphs += [(n + 1, path + [(a, n)], labels + [0]) for a in range(n)]
+    graphs += [(n, path + [(a, a + 2)], labels) for a in range(n - 2)]
+    for m, edges, start in graphs:
+        g = new_graph(m, edges)
+        yield g, coloring_from_labels(start)
+        for v in range(m):
+            yield g, coloring_from_labels(start[:v] + [start[v] ^ 1] + start[v + 1:])
+
+
+def test_the_paired_path_family_starts_its_period_by_step_m_minus_1():
+    # the conjectured quick bound, T <= m - 1 on m vertices, over the tight
+    # family and every one-step perturbation of it (9 904 runs); the even
+    # paths themselves attain it
+    runs = 0
+    for n in range(9, 25):
+        for i, (g, start) in enumerate(paired_path_family(n)):
+            t = two_step_repeat(g, start)
+            assert t is not None and t <= g.vertex_count - 1, (n, i, t)
+            if i == 0 and n % 2 == 0:
+                assert t == n - 1
+            runs += 1
+    assert runs == 9904
 
 
 def test_a_run_checks_its_arguments():
